@@ -197,12 +197,16 @@ Result<int64_t> Repository::Commit(const CommitRequest& request) {
                                    {id, static_cast<int64_t>(s),
                                     snapshot.iteration, "staging"})
                            .status());
-    const std::string payload = SerializeParams(snapshot.params);
+    std::string framed = WithCrcFooter(SerializeParams(snapshot.params));
+    // The footer just written is the payload's CRC: reuse it as the
+    // journal identity instead of checksumming the payload again.
+    Slice footer(framed.data() + framed.size() - 4, 4);
+    uint32_t payload_crc = 0;
+    MH_RETURN_IF_ERROR(GetFixed32(&footer, &payload_crc));
     pending.push_back({JoinPath("staging",
                                 repo_layout::StagingFileName(
                                     request.name, static_cast<int64_t>(s))),
-                       WithCrcFooter(payload), Crc32(Slice(payload)),
-                       /*framed=*/true});
+                       std::move(framed), payload_crc, /*framed=*/true});
   }
   for (const auto& entry : request.log) {
     MH_RETURN_IF_ERROR(staged

@@ -103,16 +103,9 @@ Result<WireResponse> ModelHubClient::CallDetailed(uint8_t opcode,
   MH_RETURN_IF_ERROR(
       WriteFrame(&sock_, opcode, payload, deadline, nullptr, trace_ptr));
   Frame response;
-  MH_RETURN_IF_ERROR(ReadFrame(&sock_, &response, options_.max_frame_bytes,
-                               deadline));
-  if (response.version != kWireVersion) {
-    return Status::InvalidArgument(
-        "server speaks wire version " + std::to_string(response.version) +
-        ", client speaks " + std::to_string(kWireVersion));
-  }
-  Slice result(response.payload);
   WireResponse out;
-  MH_RETURN_IF_ERROR(DecodeResponsePayload(&result, &out.remote));
+  MH_RETURN_IF_ERROR(ReadResponseFrame(&sock_, &response, &out.remote,
+                                       options_.max_frame_bytes, deadline));
   if (out.remote.ok() && response.opcode != opcode) {
     // Error frames need not echo the opcode: a load-shedding server
     // refuses before it ever reads the request.
@@ -121,7 +114,7 @@ Result<WireResponse> ModelHubClient::CallDetailed(uint8_t opcode,
                               " does not match request opcode " +
                               std::to_string(opcode));
   }
-  out.result = result.ToString();
+  out.result = std::move(response.payload);
   return out;
 }
 

@@ -1,5 +1,9 @@
 #include "net/frame.h"
 
+#include <algorithm>
+#include <cstring>
+#include <initializer_list>
+
 #include "common/coding.h"
 #include "common/crc32.h"
 #include "common/macros.h"
@@ -65,45 +69,71 @@ Status DecodeTraceHeader(Slice* body, FrameTrace* trace) {
   return Status::OK();
 }
 
-/// Shared body decoder for DecodeFrame/ReadFrame: splits version/opcode,
-/// peels the optional trace header, leaves the payload.
-Status ParseFrameBody(Slice body, Frame* frame) {
-  uint8_t version = static_cast<uint8_t>(body[0]);
-  frame->opcode = static_cast<uint8_t>(body[1]);
-  body.RemovePrefix(kFrameHeaderBytes);
+/// Parses the frame headers at the front of `*body` (version, opcode and
+/// the optional trace header) and leaves `*body` at the payload.
+Status ParseFrameHeaders(Slice* body, Frame* frame) {
+  uint8_t version = static_cast<uint8_t>((*body)[0]);
+  frame->opcode = static_cast<uint8_t>((*body)[1]);
+  body->RemovePrefix(kFrameHeaderBytes);
   frame->trace.reset();
   if ((version & kWireTraceFlag) != 0) {
     FrameTrace trace;
-    MH_RETURN_IF_ERROR(DecodeTraceHeader(&body, &trace));
+    MH_RETURN_IF_ERROR(DecodeTraceHeader(body, &trace));
     frame->trace = trace;
     version &= static_cast<uint8_t>(~kWireTraceFlag);
   }
   frame->version = version;
-  frame->payload = body.ToString();
   return Status::OK();
 }
 
-}  // namespace
+/// The front of a response payload: [u8 status code][varint length +
+/// message].
+std::string EncodeResponseHeader(const Status& status) {
+  std::string out;
+  out.push_back(static_cast<char>(status.code()));
+  PutLengthPrefixed(&out,
+                    Slice(status.message().data(), status.message().size()));
+  return out;
+}
 
-std::string EncodeFrame(uint8_t opcode, std::string_view payload,
-                        const FrameTrace* trace) {
+/// The one frame encoder: length prefix, version and opcode, the optional
+/// trace header, the payload pieces in order and the CRC trailer. Each
+/// piece is copied once, straight into the wire buffer.
+std::string EncodeFramePieces(uint8_t opcode,
+                              std::initializer_list<std::string_view> payload,
+                              const FrameTrace* trace) {
   std::string header;
   uint8_t version = kWireVersion;
   if (trace != nullptr) {
     version |= kWireTraceFlag;
     header = EncodeTraceHeader(*trace);
   }
+  size_t payload_size = 0;
+  for (const std::string_view piece : payload) payload_size += piece.size();
+  const size_t body_size = kFrameHeaderBytes + header.size() + payload_size;
   std::string out;
-  out.reserve(payload.size() + header.size() + kFrameHeaderBytes + 8);
-  PutFixed32(&out, static_cast<uint32_t>(payload.size() + header.size() +
-                                         kFrameHeaderBytes));
+  out.reserve(4 + body_size + 4);
+  PutFixed32(&out, static_cast<uint32_t>(body_size));
   out.push_back(static_cast<char>(version));
   out.push_back(static_cast<char>(opcode));
   out.append(header);
-  out.append(payload);
+  for (const std::string_view piece : payload) out.append(piece);
   const uint32_t crc = Crc32(Slice(out.data() + 4, out.size() - 4));
   PutFixed32(&out, crc);
   return out;
+}
+
+}  // namespace
+
+std::string EncodeFrame(uint8_t opcode, std::string_view payload,
+                        const FrameTrace* trace) {
+  return EncodeFramePieces(opcode, {payload}, trace);
+}
+
+std::string EncodeResponseFrame(uint8_t opcode, const Status& status,
+                                std::string_view result) {
+  return EncodeFramePieces(opcode, {EncodeResponseHeader(status), result},
+                           nullptr);
 }
 
 namespace {
@@ -122,10 +152,100 @@ Status CheckBodyLength(uint64_t length, uint64_t max_frame_bytes) {
   return Status::OK();
 }
 
-Status CheckBodyCrc(Slice body, uint32_t declared) {
-  if (Crc32(body) != declared) {
+Status CheckBodyCrc(uint32_t computed, uint32_t declared) {
+  if (computed != declared) {
     return Status::Corruption("frame CRC mismatch (torn or corrupt frame)");
   }
+  return Status::OK();
+}
+
+/// Body bytes read ahead of the payload: version and opcode, the largest
+/// trace header (three fixed64, flags, a varint64) and a response's status
+/// code with its varint message length.
+constexpr size_t kReadAheadBytes = kFrameHeaderBytes + 3 * 8 + 1 + 10 + 1 + 10;
+
+/// Where the payload of a `body_length`-byte body starts, judged from its
+/// first bytes `head`: after the frame headers, and for a `response` after
+/// the status header too, whose message may end past `head`. Headers that
+/// do not parse put it at the end of `head`; parsing the headers again after
+/// the CRC check then reports the error.
+uint64_t PayloadOffset(Slice head, uint64_t body_length, bool response) {
+  Frame frame;
+  Slice rest = head;
+  if (!ParseFrameHeaders(&rest, &frame).ok()) return head.size();
+  if (!response || frame.version != kWireVersion) {
+    return head.size() - rest.size();
+  }
+  if (rest.empty()) return head.size();
+  rest.RemovePrefix(1);  // The status code.
+  uint64_t message_length = 0;
+  if (!GetVarint64(&rest, &message_length).ok()) return head.size();
+  const uint64_t message_at = head.size() - rest.size();
+  return message_length <= body_length - message_at
+             ? message_at + message_length
+             : head.size();
+}
+
+/// Reads one frame; with `remote`, a response whose status header is split
+/// off into `*remote`. The headers are read ahead into a small buffer and
+/// the payload straight into its own string, which becomes
+/// `frame->payload` without a copy.
+Status ReadFrameImpl(Socket* sock, Frame* frame, Status* remote,
+                     uint64_t max_frame_bytes, const Deadline& deadline,
+                     const std::atomic<bool>* cancel, bool* clean_eof) {
+  char prefix[4];
+  MH_RETURN_IF_ERROR(
+      sock->ReadFull(prefix, sizeof(prefix), deadline, cancel, clean_eof));
+  Slice prefix_slice(prefix, sizeof(prefix));
+  uint32_t length = 0;
+  MH_RETURN_IF_ERROR(GetFixed32(&prefix_slice, &length));
+  // Reject before allocating: a torn/hostile header must not drive a
+  // multi-gigabyte resize.
+  MH_RETURN_IF_ERROR(CheckBodyLength(length, max_frame_bytes));
+  // A frame short enough is read whole, CRC trailer included.
+  std::string head(std::min<uint64_t>(uint64_t{length} + 4, kReadAheadBytes),
+                   '\0');
+  MH_RETURN_IF_ERROR(
+      sock->ReadFull(head.data(), head.size(), deadline, cancel, nullptr));
+  const size_t read_ahead = head.size();
+  const size_t split = PayloadOffset(
+      Slice(head.data(), std::min<size_t>(read_ahead, length)), length,
+      remote != nullptr);
+  if (split > read_ahead) {
+    // A status message longer than the read-ahead.
+    head.resize(split);
+    MH_RETURN_IF_ERROR(sock->ReadFull(head.data() + read_ahead,
+                                      split - read_ahead, deadline, cancel,
+                                      nullptr));
+  }
+  // The payload, then the CRC trailer; read-ahead bytes past the headers
+  // are their start.
+  std::string payload(length - split + 4, '\0');
+  const size_t spill = head.size() - split;
+  std::memcpy(payload.data(), head.data() + split, spill);
+  head.resize(split);
+  if (spill < payload.size()) {
+    MH_RETURN_IF_ERROR(sock->ReadFull(payload.data() + spill,
+                                      payload.size() - spill, deadline,
+                                      cancel, nullptr));
+  }
+  Slice trailer(payload.data() + payload.size() - 4, 4);
+  uint32_t declared = 0;
+  MH_RETURN_IF_ERROR(GetFixed32(&trailer, &declared));
+  payload.resize(payload.size() - 4);
+  MH_RETURN_IF_ERROR(
+      CheckBodyCrc(Crc32(Slice(payload), Crc32(Slice(head))), declared));
+  Slice headers(head);
+  MH_RETURN_IF_ERROR(ParseFrameHeaders(&headers, frame));
+  if (remote != nullptr) {
+    if (frame->version != kWireVersion) {
+      return Status::InvalidArgument(
+          "server speaks wire version " + std::to_string(frame->version) +
+          ", client speaks " + std::to_string(kWireVersion));
+    }
+    MH_RETURN_IF_ERROR(DecodeResponsePayload(&headers, remote));
+  }
+  frame->payload = std::move(payload);
   return Status::OK();
 }
 
@@ -142,12 +262,13 @@ Status DecodeFrame(Slice* input, Frame* frame, uint64_t max_frame_bytes) {
   if (probe.size() < static_cast<uint64_t>(length) + 4) {
     return Status::OutOfRange("truncated frame: body incomplete");
   }
-  const Slice body = probe.SubSlice(0, length);
+  Slice body = probe.SubSlice(0, length);
   probe.RemovePrefix(length);
   uint32_t declared = 0;
   MH_RETURN_IF_ERROR(GetFixed32(&probe, &declared));
-  MH_RETURN_IF_ERROR(CheckBodyCrc(body, declared));
-  MH_RETURN_IF_ERROR(ParseFrameBody(body, frame));
+  MH_RETURN_IF_ERROR(CheckBodyCrc(Crc32(body), declared));
+  MH_RETURN_IF_ERROR(ParseFrameHeaders(&body, frame));
+  frame->payload = body.ToString();
   *input = probe;
   return Status::OK();
 }
@@ -162,23 +283,14 @@ Status WriteFrame(Socket* sock, uint8_t opcode, std::string_view payload,
 Status ReadFrame(Socket* sock, Frame* frame, uint64_t max_frame_bytes,
                  const Deadline& deadline, const std::atomic<bool>* cancel,
                  bool* clean_eof) {
-  char header[4];
-  MH_RETURN_IF_ERROR(
-      sock->ReadFull(header, sizeof(header), deadline, cancel, clean_eof));
-  Slice header_slice(header, sizeof(header));
-  uint32_t length = 0;
-  MH_RETURN_IF_ERROR(GetFixed32(&header_slice, &length));
-  // Reject before allocating: a torn/hostile header must not drive a
-  // multi-gigabyte resize.
-  MH_RETURN_IF_ERROR(CheckBodyLength(length, max_frame_bytes));
-  std::string body(length + 4, '\0');
-  MH_RETURN_IF_ERROR(sock->ReadFull(body.data(), body.size(), deadline,
-                                    cancel, nullptr));
-  Slice trailer(body.data() + length, 4);
-  uint32_t declared = 0;
-  MH_RETURN_IF_ERROR(GetFixed32(&trailer, &declared));
-  MH_RETURN_IF_ERROR(CheckBodyCrc(Slice(body.data(), length), declared));
-  return ParseFrameBody(Slice(body.data(), length), frame);
+  return ReadFrameImpl(sock, frame, nullptr, max_frame_bytes, deadline,
+                       cancel, clean_eof);
+}
+
+Status ReadResponseFrame(Socket* sock, Frame* frame, Status* remote,
+                         uint64_t max_frame_bytes, const Deadline& deadline) {
+  return ReadFrameImpl(sock, frame, remote, max_frame_bytes, deadline,
+                       nullptr, nullptr);
 }
 
 TraceContext ContextFromFrame(const Frame& frame) {
@@ -204,10 +316,7 @@ TraceContext ContextFromFrame(const Frame& frame) {
 
 std::string EncodeResponsePayload(const Status& status,
                                   std::string_view result) {
-  std::string out;
-  out.push_back(static_cast<char>(status.code()));
-  PutLengthPrefixed(&out,
-                    Slice(status.message().data(), status.message().size()));
+  std::string out = EncodeResponseHeader(status);
   out.append(result);
   return out;
 }

@@ -101,11 +101,20 @@ Status WriteFrame(Socket* sock, uint8_t opcode, std::string_view payload,
 /// Reads one frame from `sock`. The length prefix is checked against
 /// `max_frame_bytes` before the body is read or allocated. A clean peer
 /// close at a frame boundary sets `*clean_eof` (when provided) — a close
-/// mid-frame leaves it false and returns kIOError.
+/// mid-frame leaves it false and returns kIOError. The payload is received
+/// straight into `frame->payload`, with no copy.
 Status ReadFrame(Socket* sock, Frame* frame, uint64_t max_frame_bytes,
                  const Deadline& deadline,
                  const std::atomic<bool>* cancel = nullptr,
                  bool* clean_eof = nullptr);
+
+/// Reads one response frame like ReadFrame and splits its payload as
+/// DecodeResponsePayload does: `*remote` receives the server-side Status and
+/// `frame->payload` only the result bytes, again with no copy. A frame of
+/// another wire version is kInvalidArgument; a malformed status header is
+/// kCorruption.
+Status ReadResponseFrame(Socket* sock, Frame* frame, Status* remote,
+                         uint64_t max_frame_bytes, const Deadline& deadline);
 
 /// Builds a thread trace context from an inbound frame's trace header
 /// (inactive when the frame carried none): root spans parent to the
@@ -118,6 +127,12 @@ TraceContext ContextFromFrame(const Frame& frame);
 /// [result bytes]. An OK status carries an empty message.
 std::string EncodeResponsePayload(const Status& status,
                                   std::string_view result);
+
+/// Serializes one response frame: the bytes of
+/// EncodeFrame(opcode, EncodeResponsePayload(status, result)), built with a
+/// single copy of `result`.
+std::string EncodeResponseFrame(uint8_t opcode, const Status& status,
+                                std::string_view result);
 
 /// Splits a response payload: `*remote` receives the server-side Status,
 /// `*payload` is left positioned at the result bytes. Returns non-OK only

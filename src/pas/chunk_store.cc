@@ -241,10 +241,15 @@ Result<std::string> ChunkStoreReader::Get(uint32_t id) const {
   {
     std::lock_guard<std::mutex> lock(*mutex_);
     // A concurrent Get may have fetched the same chunk; count bytes once.
+    // This Get is served the cached copy, so it counts as a hit: every Get
+    // is exactly one hit or one fetch. The registry still counts it under
+    // pas.chunk.cache.miss and not pas.chunk.fetch.count, so the wasted
+    // decode stays visible there.
     if (cache_enabled_) {
       auto it = cache_.find(id);
       if (it != cache_.end()) {
         lru_.splice(lru_.begin(), lru_, it->second.lru_it);
+        stats_->cache_hits.fetch_add(1, std::memory_order_relaxed);
         return it->second.data;
       }
     }

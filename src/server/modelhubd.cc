@@ -349,11 +349,11 @@ void ModelHubServer::ServeConnection(Socket sock) {
       MH_COUNTER("server.slow_requests.count")->Increment();
     }
 
-    const std::string payload = EncodeResponsePayload(status, result);
-    MH_COUNTER("server.bytes.out")->Add(payload.size() + kFrameOverheadBytes);
-    const Status written =
-        WriteFrame(&sock, request.opcode, payload,
-                   Deadline::AfterMs(options_.io_timeout_ms));
+    const std::string wire =
+        EncodeResponseFrame(request.opcode, status, result);
+    MH_COUNTER("server.bytes.out")->Add(wire.size());
+    const Status written = sock.WriteFull(
+        wire.data(), wire.size(), Deadline::AfterMs(options_.io_timeout_ms));
     if (!written.ok()) break;
     if (request.opcode == static_cast<uint8_t>(Opcode::kShutdown)) {
       RequestStop();

@@ -217,6 +217,81 @@ TEST(Crc32Test, DetectsBitFlip) {
   EXPECT_NE(Crc32(Slice(data)), clean);
 }
 
+// The byte-at-a-time table loop: the reference both kernels must match.
+class BytewiseCrc {
+ public:
+  BytewiseCrc() {
+    for (uint32_t i = 0; i < 256; ++i) {
+      uint32_t c = i;
+      for (int k = 0; k < 8; ++k) {
+        c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+      }
+      table_[i] = c;
+    }
+  }
+  /// Advances the pre-inverted state `c` by one byte.
+  uint32_t Step(uint32_t c, uint8_t byte) const {
+    return table_[(c ^ byte) & 0xFFu] ^ (c >> 8);
+  }
+  uint32_t Crc(Slice data, uint32_t seed) const {
+    uint32_t c = ~seed;
+    for (size_t i = 0; i < data.size(); ++i) c = Step(c, data[i]);
+    return ~c;
+  }
+
+ private:
+  uint32_t table_[256];
+};
+
+std::string RandomBytes(size_t n, uint64_t seed) {
+  Rng rng(seed);
+  std::string out(n, '\0');
+  for (auto& c : out) c = static_cast<char>(rng.Next());
+  return out;
+}
+
+TEST(Crc32Test, KernelsMatchBytewiseReference) {
+  const BytewiseCrc reference;
+  constexpr size_t kMaxLength = 4096;
+  constexpr size_t kOffsets = 16;
+  const std::string data = RandomBytes(kMaxLength + kOffsets, 7);
+  for (const uint32_t seed : {0u, 0xDEADBEEFu}) {
+    for (size_t offset = 0; offset < kOffsets; ++offset) {
+      const uint8_t* base =
+          reinterpret_cast<const uint8_t*>(data.data()) + offset;
+      // The reference grows one byte per length rather than rescanning.
+      uint32_t state = ~seed;
+      for (size_t length = 0; length <= kMaxLength; ++length) {
+        if (length > 0) state = reference.Step(state, base[length - 1]);
+        const Slice view(base, length);
+        ASSERT_EQ(Crc32(view, seed), ~state)
+            << "length=" << length << " offset=" << offset << " seed=" << seed;
+        ASSERT_EQ(internal::Crc32Portable(view, seed), ~state)
+            << "length=" << length << " offset=" << offset << " seed=" << seed;
+      }
+    }
+  }
+  // One buffer the size of a served snapshot, at an unaligned offset.
+  const std::string big = RandomBytes((2300u << 10) + 3, 11);
+  const Slice view(big.data() + 3, big.size() - 3);
+  const uint32_t expected = reference.Crc(view, 0);
+  EXPECT_EQ(Crc32(view), expected);
+  EXPECT_EQ(internal::Crc32Portable(view), expected);
+}
+
+TEST(Crc32Test, SeedContinuesAcrossConcatenation) {
+  const std::string data = RandomBytes(10000, 3);
+  const Slice whole(data);
+  for (const size_t split : {0, 1, 15, 16, 63, 64, 65, 200, 4096, 9999, 10000}) {
+    const Slice a(data.data(), split);
+    const Slice b(data.data() + split, data.size() - split);
+    EXPECT_EQ(Crc32(b, Crc32(a)), Crc32(whole)) << "split=" << split;
+    EXPECT_EQ(internal::Crc32Portable(b, internal::Crc32Portable(a)),
+              Crc32(whole))
+        << "split=" << split;
+  }
+}
+
 // ---------------------------------------------------------------- Env
 
 class EnvTest : public ::testing::Test {

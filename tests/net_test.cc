@@ -448,6 +448,132 @@ TEST(ListenerTest, AcceptConnectRoundTrip) {
   EXPECT_EQ(frame.payload, "over tcp");
 }
 
+// A connected TCP pair over 127.0.0.1.
+struct LoopbackPair {
+  Socket client;
+  Socket server;
+  LoopbackPair() {
+    auto listener = Listener::Bind("127.0.0.1", 0);
+    EXPECT_TRUE(listener.ok()) << listener.status().ToString();
+    Result<Socket> accepted(Status::Internal("unset"));
+    std::thread acceptor([&] { accepted = listener->Accept(); });
+    auto connected = Socket::Connect("127.0.0.1", listener->port(),
+                                     Deadline::AfterMs(5000));
+    acceptor.join();
+    EXPECT_TRUE(connected.ok()) << connected.status().ToString();
+    EXPECT_TRUE(accepted.ok()) << accepted.status().ToString();
+    if (connected.ok()) client = connected.MoveValue();
+    if (accepted.ok()) server = accepted.MoveValue();
+  }
+};
+
+std::string SnapshotSizedBytes() {
+  std::string bytes((2300u << 10) + 5, '\0');
+  uint32_t x = 0x12345678u;
+  for (auto& c : bytes) {
+    x = x * 1664525u + 1013904223u;
+    c = static_cast<char>(x >> 24);
+  }
+  return bytes;
+}
+
+TEST(LargeFrameTest, SnapshotSizedFrameRoundTripsOverLoopback) {
+  const std::string result = SnapshotSizedBytes();
+  const std::string payload = EncodeResponsePayload(Status::OK(), result);
+  const uint8_t opcode = static_cast<uint8_t>(Opcode::kGetSnapshot);
+  FrameTrace trace;
+  trace.trace_hi = 5;
+  trace.span_id = 9;
+  trace.sampled = true;
+  trace.deadline_ms = 70000;  // A three-byte varint.
+  for (const FrameTrace* with : {static_cast<const FrameTrace*>(nullptr),
+                                 static_cast<const FrameTrace*>(&trace)}) {
+    LoopbackPair pair;
+    const std::string expected = EncodeFrame(opcode, payload, with);
+    // The frame is larger than the socket buffers: write while reading.
+    Status written = Status::Internal("unset");
+    std::thread writer([&] {
+      written = WriteFrame(&pair.client, opcode, payload,
+                           Deadline::AfterMs(20000), nullptr, with);
+      if (written.ok()) {
+        written = WriteFrame(&pair.client, opcode, payload,
+                             Deadline::AfterMs(20000), nullptr, with);
+      }
+    });
+    Frame frame;
+    const Status read = ReadFrame(&pair.server, &frame, kDefaultMaxFrameBytes,
+                                  Deadline::AfterMs(20000));
+    // The second copy is taken off the wire raw: it must be exactly the
+    // EncodeFrame bytes.
+    std::string raw(expected.size(), '\0');
+    const Status raw_read = pair.server.ReadFull(
+        raw.data(), raw.size(), Deadline::AfterMs(20000), nullptr, nullptr);
+    writer.join();
+    ASSERT_TRUE(written.ok()) << written.ToString();
+    ASSERT_TRUE(read.ok()) << read.ToString();
+    ASSERT_TRUE(raw_read.ok()) << raw_read.ToString();
+    EXPECT_TRUE(raw == expected);
+    EXPECT_EQ(frame.opcode, opcode);
+    EXPECT_EQ(frame.trace.has_value(), with != nullptr);
+    EXPECT_TRUE(frame.payload == payload);
+  }
+}
+
+TEST(LargeFrameTest, ResponseFrameMatchesEncodeFrameAndSplitsStatus) {
+  const std::string result = SnapshotSizedBytes();
+  const uint8_t opcode = static_cast<uint8_t>(Opcode::kGetSnapshot);
+  // A message longer than the reader's read-ahead exercises the path that
+  // reads the rest of the status header separately.
+  const Status statuses[] = {Status::OK(), Status::NotFound("gone"),
+                             Status::Internal(std::string(300, 'm'))};
+  for (const Status& status : statuses) {
+    const std::string wire = EncodeResponseFrame(opcode, status, result);
+    EXPECT_TRUE(wire ==
+                EncodeFrame(opcode, EncodeResponsePayload(status, result)))
+        << status.ToString();
+    LoopbackPair pair;
+    std::thread writer([&] {
+      EXPECT_TRUE(pair.server
+                      .WriteFull(wire.data(), wire.size(),
+                                 Deadline::AfterMs(20000))
+                      .ok());
+    });
+    Frame frame;
+    Status remote;
+    const Status read =
+        ReadResponseFrame(&pair.client, &frame, &remote, kDefaultMaxFrameBytes,
+                          Deadline::AfterMs(20000));
+    writer.join();
+    ASSERT_TRUE(read.ok()) << read.ToString();
+    EXPECT_EQ(remote.code(), status.code());
+    EXPECT_EQ(remote.message(), status.message());
+    EXPECT_EQ(frame.opcode, opcode);
+    EXPECT_TRUE(frame.payload == result);
+  }
+}
+
+TEST(LargeFrameTest, FlippedBodyBitIsCorruption) {
+  const std::string result = SnapshotSizedBytes();
+  const std::string clean = EncodeResponseFrame(1, Status::OK(), result);
+  // One bit in the status header, one deep in the result.
+  for (const size_t at : {size_t{6}, clean.size() / 2}) {
+    std::string wire = clean;
+    wire[at] ^= 0x10;
+    LoopbackPair pair;
+    std::thread writer([&] {
+      (void)pair.server.WriteFull(wire.data(), wire.size(),
+                                  Deadline::AfterMs(20000));
+    });
+    Frame frame;
+    Status remote;
+    const Status read =
+        ReadResponseFrame(&pair.client, &frame, &remote, kDefaultMaxFrameBytes,
+                          Deadline::AfterMs(20000));
+    writer.join();
+    EXPECT_TRUE(read.IsCorruption()) << "at=" << at << " " << read.ToString();
+  }
+}
+
 TEST(ListenerTest, WakeUnblocksAccept) {
   auto listener = Listener::Bind("127.0.0.1", 0);
   ASSERT_TRUE(listener.ok());
@@ -584,6 +710,30 @@ TEST_F(NetFaultTest, TornWriteCutsStreamMidFrame) {
                 Deadline::AfterMs(2000), nullptr, &clean_eof);
   EXPECT_TRUE(read.IsIOError()) << read.ToString();
   EXPECT_FALSE(clean_eof);
+}
+
+TEST_F(NetFaultTest, TornResponseFrameMidBodyIsReadError) {
+  // A response frame as modelhubd and the router send it: one buffer, one
+  // WriteFull. A tear deep inside the result reaches the reader as a
+  // typed I/O error, never as a frame.
+  const std::string result = SnapshotSizedBytes();
+  const std::string wire = EncodeResponseFrame(
+      static_cast<uint8_t>(Opcode::kGetSnapshot), Status::OK(), result);
+  LoopbackPair pair;
+  NetFaultInjector::Global()->TearNextWriteAfter(wire.size() / 2);
+  Status written = Status::Internal("unset");
+  std::thread writer([&] {
+    written = pair.server.WriteFull(wire.data(), wire.size(),
+                                    Deadline::AfterMs(20000));
+  });
+  Frame frame;
+  Status remote;
+  const Status read =
+      ReadResponseFrame(&pair.client, &frame, &remote, kDefaultMaxFrameBytes,
+                        Deadline::AfterMs(20000));
+  writer.join();
+  EXPECT_TRUE(written.IsIOError()) << written.ToString();
+  EXPECT_TRUE(read.IsIOError()) << read.ToString();
 }
 
 TEST_F(NetFaultTest, DelayedReadTripsOpDeadline) {
