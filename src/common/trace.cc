@@ -7,6 +7,7 @@
 #include <unordered_map>
 
 #include "common/coding.h"
+#include "common/json.h"
 #include "common/macros.h"
 #include "common/metrics.h"
 #include "common/random.h"
@@ -23,32 +24,6 @@ thread_local uint64_t tls_thread_id = 0;
 
 /// The thread's distributed-tracing context (inactive by default).
 thread_local TraceContext tls_context;
-
-void AppendJsonString(std::string* out, const std::string& s) {
-  out->push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out->append("\\\"");
-        break;
-      case '\\':
-        out->append("\\\\");
-        break;
-      case '\n':
-        out->append("\\n");
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out->append(buf);
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
-}
 
 void AppendAnnotations(
     std::string* out,
@@ -71,14 +46,14 @@ std::string TraceIdHexOf(uint64_t hi, uint64_t lo) {
   return buf;
 }
 
+}  // namespace
+
 uint64_t UnixMicrosNow() {
   return static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(
           std::chrono::system_clock::now().time_since_epoch())
           .count());
 }
-
-}  // namespace
 
 uint64_t TraceContext::deadline_remaining_ms() const {
   if (!has_deadline) return 0;

@@ -63,6 +63,8 @@ const TraceContext& CurrentTraceContext();
 void SetCurrentTraceContext(const TraceContext& context);
 /// The calling thread's innermost open span id (0 = none).
 uint64_t CurrentSpanId();
+/// Wall-clock microseconds since the unix epoch.
+uint64_t UnixMicrosNow();
 
 /// RAII install/restore of the thread's trace context.
 class ScopedTraceContext {

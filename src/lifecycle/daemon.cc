@@ -8,6 +8,7 @@
 #include <sstream>
 #include <utility>
 
+#include "common/json.h"
 #include "common/metrics.h"
 #include "common/stopwatch.h"
 #include "common/trace.h"
@@ -15,27 +16,6 @@
 #include "dlv/repository.h"
 
 namespace modelhub {
-
-namespace {
-
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-std::string JsonEscape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (char c : text) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      out.push_back(' ');
-    } else {
-      out.push_back(c);
-    }
-  }
-  return out;
-}
-
-}  // namespace
 
 std::string MaintenanceStatus::ToJson() const {
   std::ostringstream out;
@@ -52,12 +32,12 @@ std::string MaintenanceStatus::ToJson() const {
       << ",\"shared_files\":" << shared_files
       << ",\"hot_snapshots\":" << hot_snapshots
       << ",\"cold_snapshots\":" << cold_snapshots
-      << ",\"last_error\":\"" << JsonEscape(last_error) << "\""
+      << ",\"last_error\":" << JsonString(last_error)
       << ",\"last_tasks\":[";
   for (size_t i = 0; i < last_outcomes.size(); ++i) {
     if (i > 0) out << ",";
-    out << "{\"name\":\"" << JsonEscape(last_outcomes[i].name)
-        << "\",\"state\":\""
+    out << "{\"name\":" << JsonString(last_outcomes[i].name)
+        << ",\"state\":\""
         << TaskOutcome::StateName(last_outcomes[i].state)
         << "\",\"wall_ms\":" << last_outcomes[i].wall_ms << "}";
   }

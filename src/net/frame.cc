@@ -246,6 +246,7 @@ Status ReadFrameImpl(Socket* sock, Frame* frame, Status* remote,
     MH_RETURN_IF_ERROR(DecodeResponsePayload(&headers, remote));
   }
   frame->payload = std::move(payload);
+  frame->wire_bytes = 4 + uint64_t{length} + 4;
   return Status::OK();
 }
 
@@ -269,6 +270,7 @@ Status DecodeFrame(Slice* input, Frame* frame, uint64_t max_frame_bytes) {
   MH_RETURN_IF_ERROR(CheckBodyCrc(Crc32(body), declared));
   MH_RETURN_IF_ERROR(ParseFrameHeaders(&body, frame));
   frame->payload = body.ToString();
+  frame->wire_bytes = 4 + uint64_t{length} + 4;
   *input = probe;
   return Status::OK();
 }

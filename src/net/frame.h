@@ -78,6 +78,9 @@ struct Frame {
   /// Present when the sender attached a trace-context header.
   std::optional<FrameTrace> trace;
   std::string payload;
+  /// The frame's size on the wire: length prefix, body (trace header
+  /// included) and CRC. Set by ReadFrame and DecodeFrame.
+  uint64_t wire_bytes = 0;
 };
 
 /// Serializes one frame (length prefix + body + CRC). A non-null `trace`

@@ -246,32 +246,6 @@ Result<Listener> Listener::Bind(const std::string& host, int port,
   return listener;
 }
 
-Result<Socket> Listener::Accept() {
-  for (;;) {
-    pollfd pfds[2] = {{fd_, POLLIN, 0}, {wake_pipe_[0], POLLIN, 0}};
-    const int rc = ::poll(pfds, 2, -1);
-    if (rc < 0) {
-      if (errno == EINTR) continue;
-      return Status::IOError(Errno("poll(accept)"));
-    }
-    if (pfds[1].revents != 0) {
-      return Status::Unavailable("listener woken");
-    }
-    if (pfds[0].revents == 0) continue;
-    const int fd = ::accept(fd_, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR || errno == ECONNABORTED || errno == EAGAIN ||
-          errno == EWOULDBLOCK) {
-        continue;
-      }
-      return Status::IOError(Errno("accept"));
-    }
-    const int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    return Socket(fd);
-  }
-}
-
 Result<Socket> Listener::Accept(int timeout_ms) {
   for (;;) {
     pollfd pfds[2] = {{fd_, POLLIN, 0}, {wake_pipe_[0], POLLIN, 0}};

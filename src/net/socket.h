@@ -125,18 +125,13 @@ class Listener {
   /// The bound port (resolved via getsockname after Bind).
   int port() const { return port_; }
 
-  /// Blocks until a connection arrives or Wake() is called. A wake (or a
-  /// closed listener) returns kUnavailable("listener woken"). The wake
-  /// byte is left in the pipe, so every later Accept() returns
-  /// immediately — a woken listener stays woken.
-  Result<Socket> Accept();
-
-  /// Like Accept(), but gives up after `timeout_ms` milliseconds with
-  /// kDeadlineExceeded (timeout_ms < 0 blocks forever). Unlike Accept(),
-  /// a wake DRAINS the pipe before returning kUnavailable, so the caller
-  /// can keep accepting afterwards — the drain-grace accept loop's
-  /// contract (one Wake = one wakeup, not a latch).
-  Result<Socket> Accept(int timeout_ms);
+  /// Blocks until a connection arrives or Wake() is called, giving up
+  /// after `timeout_ms` milliseconds with kDeadlineExceeded (< 0 blocks
+  /// forever). A wake returns kUnavailable("listener woken") and drains
+  /// the pipe, so the caller can keep accepting afterwards — the
+  /// drain-grace accept loop's contract (one Wake = one wakeup, not a
+  /// latch).
+  Result<Socket> Accept(int timeout_ms = -1);
 
   /// Wakes a blocked Accept(). Only writes to a pipe, so it is safe from
   /// any thread (and from contexts that must not take locks).

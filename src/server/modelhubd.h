@@ -1,64 +1,32 @@
 #ifndef MODELHUB_SERVER_MODELHUBD_H_
 #define MODELHUB_SERVER_MODELHUBD_H_
 
-#include <atomic>
-#include <chrono>
-#include <condition_variable>
-#include <deque>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
 
 #include "common/env.h"
 #include "common/result.h"
-#include "common/slow_log.h"
 #include "common/thread_pool.h"
 #include "dlv/repository.h"
 #include "lifecycle/daemon.h"
 #include "net/frame.h"
-#include "net/socket.h"
+#include "net/frame_server.h"
 #include "pas/coalesce.h"
 
 namespace modelhub {
 
-/// modelhubd configuration (DESIGN.md §9).
-struct ServerOptions {
-  std::string host = "127.0.0.1";
-  int port = 0;  ///< 0 binds an ephemeral port; read it back with port().
-
-  /// Connection-serving workers. Each worker owns one connection at a
-  /// time and serves its requests serially (the protocol has no
-  /// interleaving), so this is also the request-level parallelism.
-  int num_workers = 8;
+/// modelhubd configuration (DESIGN.md §9) on top of the frontend's.
+struct ServerOptions : FrameServerOptions {
   /// Threads of the separate retrieval pool that
   /// ArchiveReader::RetrieveSnapshotsParallel fans out on. Kept distinct
   /// from the worker pool so a retrieval can never deadlock waiting for
   /// pool slots its own handler occupies.
   int retrieval_threads = 4;
 
-  /// Backpressure: accepted connections wait in a bounded queue until a
-  /// worker is free. When the queue is full — or active + queued
-  /// connections reach max_connections — the server sheds: it writes one
-  /// kUnavailable frame and closes instead of queueing unboundedly.
-  int max_connections = 64;
-  int queue_capacity = 32;
-
-  uint64_t max_frame_bytes = kDefaultMaxFrameBytes;
-  /// Budget for writing one response / reading one request body.
-  int io_timeout_ms = 10000;
-  /// How long a connection may sit idle between requests.
-  int idle_timeout_ms = 30000;
-
   /// Coalescing linger window (see SnapshotCoalescer): 0 = pure
   /// single-flight, > 0 keeps completed retrievals joinable that long.
   int coalesce_linger_ms = 0;
-
-  /// Slow-request log threshold: requests whose dispatch takes at least
-  /// this long land in a bounded ring dumped via STATS (0 disables).
-  int slow_request_us = 100000;
-  int slow_log_capacity = 64;
 
   /// Graceful-drain grace window. 0 (the default) preserves the classic
   /// drain: RequestStop immediately stops accepting. > 0 keeps the
@@ -79,19 +47,17 @@ struct ServerOptions {
 /// net/frame.h (PING, LIST_MODELS, GET_SNAPSHOT exact + progressive,
 /// DQL_QUERY, STATS, SHUTDOWN).
 ///
-/// Threading model (DESIGN.md §9): one accept thread feeds a bounded
-/// pending-connection queue; num_workers persistent loops on an owned
-/// ThreadPool pop connections and serve them serially; snapshot
-/// retrievals go through a single-flight SnapshotCoalescer onto a second
-/// pool running the computation-sharing parallel scheduler. DQL runs
-/// read-only (commit_results = false) — the serving path never mutates
-/// the repository, so concurrent readers need no catalog lock.
+/// Threading model (DESIGN.md §9): connections are accepted, queued,
+/// served and drained by the shared FrameServer, which hands each request
+/// to Dispatch; snapshot retrievals go through a single-flight
+/// SnapshotCoalescer onto a second pool running the computation-sharing
+/// parallel scheduler. DQL runs read-only (commit_results = false) — the
+/// serving path never mutates the repository, so concurrent readers need
+/// no catalog lock.
 ///
-/// Graceful drain: RequestStop() (async-signal-safe: an atomic store and
-/// a pipe write) stops the accept loop; workers finish the request they
-/// are executing, responses in flight are written in full, idle
-/// connections are closed, and never-served queued connections get a
-/// kUnavailable frame. Stop() performs the drain and joins everything.
+/// Graceful drain: RequestStop() (async-signal-safe: atomic stores and
+/// pipe writes) starts the FrameServer's two-phase drain and cancels the
+/// maintenance daemon. Stop() performs the drain and joins everything.
 class ModelHubServer {
  public:
   ModelHubServer(Env* env, std::string repo_root, ServerOptions options = {});
@@ -106,16 +72,16 @@ class ModelHubServer {
   Status Start();
 
   /// The bound port (valid after Start; resolves ephemeral binds).
-  int port() const;
+  int port() const { return frontend_.port(); }
 
   const ServerOptions& options() const { return options_; }
 
   /// True between Start() and the end of Stop().
-  bool running() const { return running_.load(std::memory_order_acquire); }
+  bool running() const { return frontend_.running(); }
 
   /// True once a drain has been requested (RequestStop, Stop, or a
-  /// SHUTDOWN rpc) — the serve loops poll this to know when to exit.
-  bool stop_requested() const { return stopping_.load(); }
+  /// SHUTDOWN rpc).
+  bool stop_requested() const { return frontend_.stop_requested(); }
 
   /// Begins the drain without blocking. Safe from signal handlers.
   void RequestStop();
@@ -126,7 +92,7 @@ class ModelHubServer {
 
   /// Blocks the calling thread until RequestStop() is observed (polling,
   /// so a SIGTERM-handler store is enough to end it).
-  void WaitUntilStopRequested() const;
+  void WaitUntilStopRequested() const { frontend_.WaitUntilStopRequested(); }
 
   /// Exact coalescer counters for tests.
   uint64_t coalesce_hits() const;
@@ -136,15 +102,6 @@ class ModelHubServer {
   LifecycleDaemon* maintenance() { return maintenance_.get(); }
 
  private:
-  struct PendingConn {
-    Socket sock;
-    std::chrono::steady_clock::time_point enqueued;
-  };
-
-  void AcceptLoop();
-  void WorkerLoop();
-  void ServeConnection(Socket sock);
-
   /// Dispatches one decoded request; the response payload goes in `*out`.
   Status Dispatch(const Frame& request, std::string* out);
   Status HandleListModels(std::string* out);
@@ -158,39 +115,15 @@ class ModelHubServer {
   /// fallback, or progressive bounds (planes 1..3).
   Result<std::string> FetchSnapshot(const std::string& key, int planes);
 
-  /// Writes a kUnavailable frame (opcode 0 — the request was never read)
-  /// and lets `sock` close.
-  void Shed(Socket sock, const char* reason);
-
-  void UpdateUptimeGauge() const;
-
   Env* const env_;
   const std::string repo_root_;
   const ServerOptions options_;
 
   std::optional<Repository> repo_;
-  std::optional<Listener> listener_;
-  std::unique_ptr<ThreadPool> workers_;
   std::unique_ptr<ThreadPool> retrieval_pool_;
   std::unique_ptr<SnapshotCoalescer> coalescer_;
   std::unique_ptr<LifecycleDaemon> maintenance_;
-  std::thread accept_thread_;
-  WaitGroup worker_group_;
-
-  std::atomic<bool> running_{false};
-  /// Two-phase drain: stopping_ flips at RequestStop (PING advertises
-  /// draining, the grace clock starts); halt_ flips once the grace
-  /// window lapses (workers exit, in-flight idle reads cancel). With
-  /// drain_grace_ms == 0 the two are effectively simultaneous.
-  std::atomic<bool> stopping_{false};
-  std::atomic<bool> halt_{false};
-  std::atomic<int> active_connections_{0};
-  std::chrono::steady_clock::time_point started_at_;
-  SlowRequestLog slow_log_;
-
-  std::mutex queue_mu_;
-  std::condition_variable queue_cv_;
-  std::deque<PendingConn> pending_;  ///< Guarded by queue_mu_.
+  FrameServer frontend_;
 };
 
 /// The shared daemon entry point behind `dlv serve` and the standalone

@@ -12,6 +12,7 @@
 #include "common/crc32.h"
 #include "common/env.h"
 #include "common/fault_env.h"
+#include "common/json.h"
 #include "common/macros.h"
 #include "common/random.h"
 #include "common/result.h"
@@ -702,6 +703,26 @@ TEST(WaitGroupTest, TwoGroupsOnOnePoolWaitIndependently) {
   EXPECT_EQ(first_count.load(), 50);
   second.Wait();
   EXPECT_EQ(second_count.load(), 50);
+}
+
+// ------------------------------------------------------------------ JSON
+
+TEST(JsonStringTest, EscapesEachCharacterClass) {
+  EXPECT_EQ(JsonString(""), "\"\"");
+  EXPECT_EQ(JsonString("plain text 0-9 ~"), "\"plain text 0-9 ~\"");
+  EXPECT_EQ(JsonString("say \"hi\""), "\"say \\\"hi\\\"\"");
+  EXPECT_EQ(JsonString("a\\b"), "\"a\\\\b\"");
+  EXPECT_EQ(JsonString("\n\r\t"), "\"\\n\\r\\t\"");
+  // Every other control character takes the \u00xx form (no \b or \f).
+  EXPECT_EQ(JsonString(std::string("\x00\x01\x08\x0c\x1f", 5)),
+            "\"\\u0000\\u0001\\u0008\\u000c\\u001f\"");
+  // DEL and UTF-8 bytes pass through unchanged.
+  EXPECT_EQ(JsonString("\x7f"), "\"\x7f\"");
+  EXPECT_EQ(JsonString("caf\xc3\xa9"), "\"caf\xc3\xa9\"");
+
+  std::string out = "x=";
+  AppendJsonString(&out, "y\tz");
+  EXPECT_EQ(out, "x=\"y\\tz\"");
 }
 
 }  // namespace

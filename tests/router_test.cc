@@ -391,6 +391,46 @@ TEST_F(RouterTest, ShutdownRpcDrainsRouterOnly) {
   EXPECT_TRUE(direct->Ping().ok());
 }
 
+TEST_F(RouterTest, ShedsWhenSaturated) {
+  RouterOptions options;
+  options.num_workers = 1;
+  options.max_connections = 2;
+  options.queue_capacity = 1;
+  ModelHubRouter router(StartFleet(1, 1), options);
+  ASSERT_TRUE(router.Start().ok());
+  Counter* router_shed =
+      MetricRegistry::Global()->GetCounter("router.shed.count");
+  Counter* server_shed =
+      MetricRegistry::Global()->GetCounter("server.shed.count");
+  const uint64_t router_before = router_shed->value();
+  const uint64_t server_before = server_shed->value();
+
+  // c1 occupies the only worker, c2 fills the one queue slot, c3 must be
+  // shed by the router itself.
+  auto c1 = ModelHubClient::Connect("127.0.0.1", router.port());
+  ASSERT_TRUE(c1.ok());
+  ASSERT_TRUE(c1->Ping().ok());  // Proves c1 reached its worker.
+  auto c2 = ModelHubClient::Connect("127.0.0.1", router.port());
+  ASSERT_TRUE(c2.ok());
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+
+  auto c3 = ModelHubClient::Connect("127.0.0.1", router.port());
+  ASSERT_TRUE(c3.ok());
+  auto shed = c3->Ping();
+  EXPECT_TRUE(shed.status().IsUnavailable()) << shed.status().ToString();
+  EXPECT_NE(shed.status().message().find("router at capacity"),
+            std::string::npos)
+      << shed.status().ToString();
+  // The shed is booked under the router's names, never the backend's.
+  EXPECT_EQ(router_shed->value() - router_before, 1u);
+  EXPECT_EQ(server_shed->value(), server_before);
+
+  c1 = Status::Unavailable("dropped");  // Hang up; releases the worker.
+  auto pong = c2->Ping();
+  EXPECT_TRUE(pong.ok()) << pong.status().ToString();
+  EXPECT_TRUE(router.Stop().ok());
+}
+
 TEST_F(RouterTest, RetryBudgetExhaustionShedsTyped) {
   // A shard whose only replica is a dead port: bind, record, release.
   int dead_port = 0;

@@ -584,5 +584,69 @@ TEST_F(ServerTest, ExpiredDeadlineIsCountedAndAnnotated) {
   recorder->Clear();
 }
 
+TEST_F(ServerTest, BytesInCountsWholeRequestFrames) {
+  ModelHubServer server(env_, root_);
+  ASSERT_TRUE(server.Start().ok());
+  Counter* bytes_in = MetricRegistry::Global()->GetCounter("server.bytes.in");
+  auto sock = Socket::Connect("127.0.0.1", server.port(),
+                              Deadline::AfterMs(5000));
+  ASSERT_TRUE(sock.ok()) << sock.status().ToString();
+
+  // The trace header rides inside the frame body, so a traced request is
+  // longer on the wire than its payload suggests.
+  const uint8_t ping = static_cast<uint8_t>(Opcode::kPing);
+  const std::string payload = "count me";
+  FrameTrace trace;
+  trace.trace_hi = 1;
+  trace.trace_lo = 2;
+  trace.span_id = 3;
+  trace.deadline_ms = 5000;
+  for (const FrameTrace* t : {static_cast<const FrameTrace*>(nullptr),
+                              static_cast<const FrameTrace*>(&trace)}) {
+    const uint64_t before = bytes_in->value();
+    ASSERT_TRUE(WriteFrame(&*sock, ping, payload, Deadline::AfterMs(5000),
+                           nullptr, t)
+                    .ok());
+    Frame reply;
+    Status remote;
+    ASSERT_TRUE(ReadResponseFrame(&*sock, &reply, &remote,
+                                  kDefaultMaxFrameBytes,
+                                  Deadline::AfterMs(5000))
+                    .ok());
+    EXPECT_TRUE(remote.ok()) << remote.ToString();
+    EXPECT_EQ(bytes_in->value() - before,
+              EncodeFrame(ping, payload, t).size())
+        << (t == nullptr ? "untraced" : "traced");
+  }
+  EXPECT_TRUE(server.Stop().ok());
+}
+
+TEST_F(ServerTest, ShedFrameCountsInBytesOut) {
+  ServerOptions options;
+  options.queue_capacity = 0;  // Every accepted connection is shed.
+  ModelHubServer server(env_, root_, options);
+  ASSERT_TRUE(server.Start().ok());
+  Counter* bytes_out =
+      MetricRegistry::Global()->GetCounter("server.bytes.out");
+  Counter* shed = MetricRegistry::Global()->GetCounter("server.shed.count");
+  const uint64_t out_before = bytes_out->value();
+  const uint64_t shed_before = shed->value();
+
+  auto sock = Socket::Connect("127.0.0.1", server.port(),
+                              Deadline::AfterMs(5000));
+  ASSERT_TRUE(sock.ok()) << sock.status().ToString();
+  Frame reply;
+  Status remote;
+  ASSERT_TRUE(ReadResponseFrame(&*sock, &reply, &remote, kDefaultMaxFrameBytes,
+                                Deadline::AfterMs(5000))
+                  .ok());
+  EXPECT_TRUE(remote.IsUnavailable()) << remote.ToString();
+  EXPECT_EQ(remote.message(), "server at capacity");
+  EXPECT_EQ(shed->value() - shed_before, 1u);
+  EXPECT_EQ(bytes_out->value() - out_before,
+            EncodeResponseFrame(0, remote, "").size());
+  EXPECT_TRUE(server.Stop().ok());
+}
+
 }  // namespace
 }  // namespace modelhub
