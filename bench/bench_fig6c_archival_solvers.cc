@@ -105,9 +105,7 @@ int main() {
   for (size_t i = 0; i < snapshot_names.size(); ++i) {
     specs.push_back({snapshot_names[i], &param_storage[i]});
   }
-  auto graph = BuildMatrixStorageGraph(specs, candidates,
-                                       CodecType::kDeflateLite,
-                                       DeltaKind::kSub, 0.25);
+  auto graph = BuildMatrixStorageGraph(specs, candidates, ArchiveOptions());
   Check(graph.status(), "build graph");
   std::printf("matrix storage graph: %d matrices, %zu candidate edges, "
               "%zu snapshots\n",

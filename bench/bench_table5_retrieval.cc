@@ -159,7 +159,10 @@ int main() {
                 .status(),
             "independent");
       plan.independent.Accumulate(stats);
-      Check(reader->RetrieveSnapshotParallel(snapshot, &pool, &stats).status(),
+      Check(reader
+                ->RetrieveSnapshotsParallel({snapshot}, &pool,
+                                            ParallelScheme::kShared, &stats)
+                .status(),
             "shared");
       plan.shared.Accumulate(stats);
       ++plan.snapshots;

@@ -1,11 +1,9 @@
 #include "pas/archive.h"
 
 #include <algorithm>
-#include <atomic>
 #include <functional>
 #include <memory>
 #include <set>
-#include <unordered_map>
 
 #include "common/checked_io.h"
 #include "common/coding.h"
@@ -18,65 +16,6 @@
 namespace modelhub {
 
 namespace {
-
-/// Fills a RetrievalStats from chunk-store counter deltas + wall time on
-/// scope exit, and feeds the `pas.retrieve.*` registry instruments plus a
-/// trace span. Construct at the very top of a retrieval entry point: the
-/// destructor runs on every exit path, so callers get a final (partial)
-/// stats snapshot even when retrieval fails mid-forest — wall time, bytes
-/// and cache counters cover the work done up to the failure.
-class StatsScope {
- public:
-  StatsScope(const ArchiveReader* reader, RetrievalStats* stats,
-             const char* op)
-      : reader_(reader), stats_(stats), span_(op) {
-    if (stats_ != nullptr) *stats_ = RetrievalStats{};
-    before_ = reader_->store_stats();
-  }
-
-  ~StatsScope() {
-    const ChunkStoreStats after = reader_->store_stats();
-    const uint64_t fetches = after.chunk_fetches - before_.chunk_fetches;
-    const uint64_t bytes = after.bytes_read - before_.bytes_read;
-    const double wall_ms = watch_.ElapsedMillis();
-    if (stats_ != nullptr) {
-      stats_->chunk_fetches = fetches;
-      stats_->cache_hits = after.cache_hits - before_.cache_hits;
-      stats_->cache_evictions =
-          after.cache_evictions - before_.cache_evictions;
-      stats_->bytes_read = bytes;
-      stats_->vertices_resolved = vertices_;
-      stats_->wall_ms = wall_ms;
-    }
-    MH_COUNTER("pas.retrieve.count")->Increment();
-    if (!ok_) MH_COUNTER("pas.retrieve.errors")->Increment();
-    MH_COUNTER("pas.retrieve.vertices")->Add(vertices_);
-    MH_COUNTER("pas.retrieve.bytes")->Add(bytes);
-    MH_HISTOGRAM("pas.retrieve.us")
-        ->Record(static_cast<uint64_t>(wall_ms * 1000.0));
-    if (span_.recording()) {
-      span_.Annotate("vertices", vertices_);
-      span_.Annotate("chunk_fetches", fetches);
-      span_.Annotate("bytes", bytes);
-      if (!ok_) span_.Annotate("error", std::string("true"));
-    }
-  }
-
-  /// Call as resolution progresses; sticky across early error returns.
-  void set_vertices_resolved(uint64_t n) { vertices_ = n; }
-  /// Call once the operation is known to have fully succeeded.
-  void MarkOk() { ok_ = true; }
-  TraceSpan& span() { return span_; }
-
- private:
-  const ArchiveReader* reader_;
-  RetrievalStats* stats_;
-  ChunkStoreStats before_;
-  Stopwatch watch_;
-  TraceSpan span_;
-  uint64_t vertices_ = 0;
-  bool ok_ = false;
-};
 
 /// Manifest format versions. v2 carries one chunk id per plane, resolved
 /// through the vertex's tier; v3 (cross-generation dedup) adds a list of
@@ -295,22 +234,24 @@ Status ArchiveBuilder::AddDeltaCandidate(const std::string& from_snapshot,
 Result<MatrixStorageGraph> BuildMatrixStorageGraph(
     const std::vector<SnapshotSpec>& snapshots,
     const std::vector<std::pair<int, int>>& candidate_pairs,
-    CodecType codec, DeltaKind delta_kind, double recreation_raw_weight,
-    const TierOptions& tiers, ThreadPool* pool,
+    const ArchiveOptions& options, ThreadPool* pool,
     const std::vector<MatrixPairCandidate>& matrix_pairs,
     int* first_similarity_edge) {
   if (first_similarity_edge != nullptr) *first_similarity_edge = -1;
+  const CodecType codec = options.codec;
+  const DeltaKind delta_kind = options.delta_kind;
   MatrixStorageGraph graph;
   // Every edge optionally gets a remote twin: cheaper to hold, costlier to
   // recreate from (the paper's multi-tier parallel edges).
   auto add_tiered_edge = [&](int u, int v, double cs,
                              double cr) -> Status {
     MH_RETURN_IF_ERROR(graph.AddEdge(u, v, cs, cr, /*tier=*/0).status());
-    if (tiers.enable_remote) {
-      MH_RETURN_IF_ERROR(graph
-                             .AddEdge(u, v, cs * tiers.storage_discount,
-                                      cr * tiers.read_penalty, /*tier=*/1)
-                             .status());
+    if (options.enable_remote_tier) {
+      MH_RETURN_IF_ERROR(
+          graph
+              .AddEdge(u, v, cs * options.remote_storage_discount,
+                       cr * options.remote_read_penalty, /*tier=*/1)
+              .status());
     }
     return Status::OK();
   };
@@ -469,7 +410,7 @@ Result<MatrixStorageGraph> BuildMatrixStorageGraph(
     const EdgeCost& cost = vertex_costs[v];
     MH_RETURN_IF_ERROR(add_tiered_edge(
         0, static_cast<int>(v), cost.cs,
-        cost.cs + recreation_raw_weight * cost.raw));
+        cost.cs + options.recreation_raw_weight * cost.raw));
   }
   for (size_t c = 0; c < candidates.size(); ++c) {
     const EdgeCost& cost = candidate_costs[c];
@@ -480,7 +421,7 @@ Result<MatrixStorageGraph> BuildMatrixStorageGraph(
     }
     MH_RETURN_IF_ERROR(add_tiered_edge(
         candidates[c].u, candidates[c].v, cost.cs,
-        cost.cs + recreation_raw_weight * cost.raw));
+        cost.cs + options.recreation_raw_weight * cost.raw));
   }
   for (size_t s = 0; s < snapshots.size(); ++s) {
     MH_RETURN_IF_ERROR(
@@ -602,18 +543,11 @@ Result<ArchiveBuildReport> ArchiveBuilder::Build(
   for (size_t s = 0; s < snapshot_names_.size(); ++s) {
     specs.push_back({snapshot_names_[s], &param_lists[s]});
   }
-  TierOptions tiers;
-  tiers.enable_remote = options.enable_remote_tier;
-  tiers.storage_discount = options.remote_storage_discount;
-  tiers.read_penalty = options.remote_read_penalty;
   int first_similarity_edge = -1;
   MH_ASSIGN_OR_RETURN(
       MatrixStorageGraph graph,
-      BuildMatrixStorageGraph(specs, candidate_pairs_, options.codec,
-                              options.delta_kind,
-                              options.recreation_raw_weight, tiers,
-                              pool.get(), similarity_pairs,
-                              &first_similarity_edge));
+      BuildMatrixStorageGraph(specs, candidate_pairs_, options, pool.get(),
+                              similarity_pairs, &first_similarity_edge));
   std::vector<int> vertex_of_matrix(matrices_.size());
   {
     int next = 1;
@@ -1131,34 +1065,223 @@ Result<std::vector<std::string>> ArchiveReader::ParamNames(
   return names;
 }
 
-Result<FloatMatrix> ArchiveReader::ReadPayload(const VertexMeta& meta) const {
-  std::string plane_data[kNumPlanes];
-  std::vector<Slice> planes;
-  for (int p = 0; p < kNumPlanes; ++p) {
-    const ChunkStoreReader* store = stores_[meta.slots[p]].get();
-    MH_ASSIGN_OR_RETURN(plane_data[p], store->Get(meta.chunk_ids[p]));
-    planes.emplace_back(plane_data[p]);
+/// One node of a retrieval plan: a delta-chain vertex resolved exactly
+/// or as bounds. Only the node's own Resolve writes it; its children read
+/// it after it resolved, the caller after Execute returns.
+struct ArchiveReader::PlanNode {
+  int vertex = 0;
+  bool exact = true;
+  int parent = -1;            ///< Node of the delta base; -1 = materialized.
+  std::vector<int> children;  ///< Nodes that delta off this one.
+  int uses = 0;               ///< Requests whose result this node holds.
+  FloatMatrix value;          ///< Exact nodes: the full-precision matrix.
+  IntervalMatrix bounds;      ///< Bounds nodes: sound per-weight bounds.
+  ChunkStoreStats io;         ///< This node's chunk Gets.
+  Status status = Status::OK();
+};
+
+/// Fills a RetrievalStats from the executed plan's per-node chunk reads +
+/// wall time on scope exit, and feeds the `pas.retrieve.*` registry
+/// instruments plus a trace span. Construct at the very top of a
+/// retrieval entry point: the destructor runs on every exit path, so
+/// callers get a final (partial) stats snapshot even when retrieval fails
+/// mid-forest — wall time, bytes and cache counters cover the work done
+/// up to the failure.
+class ArchiveReader::StatsScope {
+ public:
+  StatsScope(RetrievalStats* stats, const char* op)
+      : stats_(stats), span_(op) {
+    if (stats_ != nullptr) *stats_ = RetrievalStats{};
   }
-  return AssembleFloats(meta.rows, meta.cols, planes);
+
+  ~StatsScope() {
+    const double wall_ms = watch_.ElapsedMillis();
+    if (stats_ != nullptr) {
+      stats_->chunk_fetches = io_.chunk_fetches;
+      stats_->cache_hits = io_.cache_hits;
+      stats_->cache_evictions = io_.cache_evictions;
+      stats_->bytes_read = io_.bytes_read;
+      stats_->vertices_resolved = vertices_;
+      stats_->wall_ms = wall_ms;
+    }
+    MH_COUNTER("pas.retrieve.count")->Increment();
+    if (!ok_) MH_COUNTER("pas.retrieve.errors")->Increment();
+    MH_COUNTER("pas.retrieve.vertices")->Add(vertices_);
+    MH_COUNTER("pas.retrieve.bytes")->Add(io_.bytes_read);
+    MH_HISTOGRAM("pas.retrieve.us")
+        ->Record(static_cast<uint64_t>(wall_ms * 1000.0));
+    if (span_.recording()) {
+      span_.Annotate("vertices", vertices_);
+      span_.Annotate("chunk_fetches", io_.chunk_fetches);
+      span_.Annotate("bytes", io_.bytes_read);
+      if (!ok_) span_.Annotate("error", std::string("true"));
+    }
+  }
+
+  /// Books an executed plan: its nodes' chunk reads and resolved vertices.
+  void Record(const std::vector<PlanNode>& nodes) {
+    for (const PlanNode& node : nodes) {
+      io_.chunk_fetches += node.io.chunk_fetches;
+      io_.cache_hits += node.io.cache_hits;
+      io_.cache_evictions += node.io.cache_evictions;
+      io_.bytes_read += node.io.bytes_read;
+      if (node.status.ok()) ++vertices_;
+    }
+  }
+  /// Call once the operation is known to have fully succeeded.
+  void MarkOk() { ok_ = true; }
+  TraceSpan& span() { return span_; }
+
+ private:
+  RetrievalStats* stats_;
+  ChunkStoreStats io_;
+  Stopwatch watch_;
+  TraceSpan span_;
+  uint64_t vertices_ = 0;
+  bool ok_ = false;
+};
+
+Result<std::vector<int>> ArchiveReader::Plan(
+    const std::vector<int>& requests, int planes, ParallelScheme scheme,
+    std::vector<PlanNode>* nodes) const {
+  // (vertex, exact) -> node index; -1 while the walk that met the pair is
+  // still climbing, so meeting it again means the chain is a cycle.
+  std::map<std::pair<int, bool>, int> node_of;
+  std::vector<int> outputs;
+  for (const int request : requests) {
+    if (scheme == ParallelScheme::kIndependent) node_of.clear();
+    // Climb to a materialized vertex or to a node an earlier walk planned,
+    // then append this walk's nodes root first.
+    std::vector<std::pair<int, bool>> walk;
+    int attach = -1;
+    bool exact = planes == 0;
+    for (int v = request; v != 0;
+         v = vertices_[static_cast<size_t>(v)].parent) {
+      const DeltaKind kind = vertices_[static_cast<size_t>(v)].delta_kind;
+      if (!exact &&
+          (kind == DeltaKind::kXor || kind == DeltaKind::kAdaptiveXor)) {
+        // XOR needs bit-exact operands, so an XOR vertex and its
+        // ancestors resolve exactly, from all four planes.
+        if (planes < kNumPlanes) {
+          return Status::InvalidArgument(
+              "partial retrieval is not defined over XOR deltas");
+        }
+        exact = true;
+      }
+      const auto [it, inserted] = node_of.emplace(std::make_pair(v, exact), -1);
+      if (!inserted) {
+        if (it->second < 0) {
+          const VertexMeta& meta = vertices_[static_cast<size_t>(request)];
+          return Status::Corruption("delta chain of " + meta.snapshot + "/" +
+                                    meta.param + " does not terminate (cycle)");
+        }
+        attach = it->second;
+        break;
+      }
+      walk.push_back(it->first);
+    }
+    for (auto key = walk.rbegin(); key != walk.rend(); ++key) {
+      const int index = static_cast<int>(nodes->size());
+      PlanNode& node = nodes->emplace_back();
+      node.vertex = key->first;
+      node.exact = key->second;
+      node.parent = attach;
+      if (attach >= 0) {
+        (*nodes)[static_cast<size_t>(attach)].children.push_back(index);
+      }
+      attach = node_of[*key] = index;
+    }
+    ++(*nodes)[static_cast<size_t>(attach)].uses;
+    outputs.push_back(attach);
+  }
+  return outputs;
 }
 
-Result<const FloatMatrix*> ArchiveReader::ResolveExact(
-    int vertex, std::map<int, FloatMatrix>* memo) const {
-  auto it = memo->find(vertex);
-  if (it != memo->end()) return &it->second;
-  const VertexMeta& meta = vertices_[static_cast<size_t>(vertex)];
-  MH_ASSIGN_OR_RETURN(FloatMatrix payload, ReadPayload(meta));
-  MH_COUNTER("pas.retrieve.vertex.decode")->Increment();
-  FloatMatrix value;
-  if (meta.parent == 0) {
-    value = std::move(payload);
-  } else {
-    MH_ASSIGN_OR_RETURN(const FloatMatrix* base,
-                        ResolveExact(meta.parent, memo));
-    MH_ASSIGN_OR_RETURN(value, ApplyDelta(*base, payload, meta.delta_kind));
-    MH_COUNTER("pas.retrieve.delta.apply")->Increment();
+void ArchiveReader::Execute(std::vector<PlanNode>* nodes, int planes,
+                            ThreadPool* pool) const {
+  auto run = [this, nodes, planes](size_t index) {
+    PlanNode& node = (*nodes)[index];
+    const PlanNode* parent =
+        node.parent < 0 ? nullptr : &(*nodes)[static_cast<size_t>(node.parent)];
+    node.status = parent != nullptr && !parent->status.ok()
+                      ? parent->status
+                      : Resolve(&node, parent, planes);
+  };
+  if (pool == nullptr) {
+    for (size_t i = 0; i < nodes->size(); ++i) run(i);  // Parents first.
+    return;
   }
-  return &memo->emplace(vertex, std::move(value)).first->second;
+  // A node's task schedules its children once it has resolved. The call
+  // waits on its own WaitGroup, never ThreadPool::Wait, so concurrent
+  // calls can share one pool.
+  WaitGroup done;
+  std::function<void(size_t)> task = [&](size_t index) {
+    run(index);
+    for (const int child : (*nodes)[index].children) {
+      pool->Schedule(&done,
+                     [&task, child] { task(static_cast<size_t>(child)); });
+    }
+  };
+  for (size_t i = 0; i < nodes->size(); ++i) {
+    if ((*nodes)[i].parent < 0) pool->Schedule(&done, [&task, i] { task(i); });
+  }
+  done.Wait();
+}
+
+Status ArchiveReader::Resolve(PlanNode* node, const PlanNode* parent,
+                              int planes) const {
+  const VertexMeta& meta = vertices_[static_cast<size_t>(node->vertex)];
+  std::string plane_data[kNumPlanes];
+  std::vector<Slice> plane_slices;
+  for (int p = 0; p < (node->exact ? kNumPlanes : planes); ++p) {
+    MH_ASSIGN_OR_RETURN(plane_data[p], stores_[meta.slots[p]]->Get(
+                                           meta.chunk_ids[p], &node->io));
+    plane_slices.emplace_back(plane_data[p]);
+  }
+  if (node->exact) {
+    MH_ASSIGN_OR_RETURN(FloatMatrix payload,
+                        AssembleFloats(meta.rows, meta.cols, plane_slices));
+    MH_COUNTER("pas.retrieve.vertex.decode")->Increment();
+    if (parent == nullptr) {
+      node->value = std::move(payload);
+      return Status::OK();
+    }
+    MH_ASSIGN_OR_RETURN(node->value,
+                        ApplyDelta(parent->value, payload, meta.delta_kind));
+    MH_COUNTER("pas.retrieve.delta.apply")->Increment();
+    return Status::OK();
+  }
+  MH_ASSIGN_OR_RETURN(IntervalMatrix own,
+                      BoundsFromPlanes(meta.rows, meta.cols, plane_slices));
+  if (parent == nullptr) {
+    node->bounds = std::move(own);
+    return Status::OK();
+  }
+  // An exact parent is the degenerate interval [v, v].
+  const FloatMatrix& base_lo =
+      parent->exact ? parent->value : parent->bounds.lo();
+  const FloatMatrix& base_hi =
+      parent->exact ? parent->value : parent->bounds.hi();
+  // target = base + delta on the overlap (interval addition); outside
+  // the base's extent (adaptive deltas only) the delta carries the
+  // target verbatim, so its own bounds stand alone.
+  const int64_t overlap_rows = std::min(meta.rows, base_lo.rows());
+  const int64_t overlap_cols = std::min(meta.cols, base_lo.cols());
+  if (meta.delta_kind == DeltaKind::kSub &&
+      (overlap_rows != meta.rows || overlap_cols != meta.cols)) {
+    return Status::Corruption("exact SUB delta with mismatched base shape");
+  }
+  FloatMatrix lo = own.lo();
+  FloatMatrix hi = own.hi();
+  for (int64_t r = 0; r < overlap_rows; ++r) {
+    for (int64_t c = 0; c < overlap_cols; ++c) {
+      lo.At(r, c) = base_lo.At(r, c) + lo.At(r, c);
+      hi.At(r, c) = base_hi.At(r, c) + hi.At(r, c);
+    }
+  }
+  MH_ASSIGN_OR_RETURN(node->bounds,
+                      IntervalMatrix::FromBounds(std::move(lo), std::move(hi)));
+  return Status::OK();
 }
 
 Result<FloatMatrix> ArchiveReader::RetrieveMatrix(
@@ -1167,43 +1290,22 @@ Result<FloatMatrix> ArchiveReader::RetrieveMatrix(
   if (vertex < 0) {
     return Status::NotFound("no matrix " + snapshot + "/" + param);
   }
-  std::map<int, FloatMatrix> memo;
-  MH_RETURN_IF_ERROR(ResolveExact(vertex, &memo).status());
-  return std::move(memo.at(vertex));
+  std::vector<PlanNode> nodes;
+  MH_ASSIGN_OR_RETURN(const std::vector<int> outputs,
+                      Plan({vertex}, 0, ParallelScheme::kShared, &nodes));
+  Execute(&nodes, 0, nullptr);
+  PlanNode& node = nodes[static_cast<size_t>(outputs[0])];
+  MH_RETURN_IF_ERROR(node.status);
+  return std::move(node.value);
 }
 
 Result<std::vector<NamedParam>> ArchiveReader::RetrieveSnapshot(
     const std::string& snapshot, RetrievalStats* stats) const {
-  StatsScope scope(this, stats, "pas.retrieve.snapshot");
+  StatsScope scope(stats, "pas.retrieve.snapshot");
   scope.span().Annotate("snapshot", snapshot);
-  const int s = FindSnapshot(snapshot);
-  if (s < 0) return Status::NotFound("no snapshot: " + snapshot);
-  const std::vector<int>& members = snapshot_members_[static_cast<size_t>(s)];
-  std::map<int, FloatMatrix> memo;
-  for (int v : members) {
-    const Status status = ResolveExact(v, &memo).status();
-    scope.set_vertices_resolved(memo.size());
-    if (!status.ok()) return status;  // Scope still emits partial stats.
-  }
-  scope.MarkOk();
-  // All chains are resolved; members can now be moved out of the memo
-  // (no member is read again, so no copy per returned matrix).
-  std::vector<NamedParam> out;
-  out.reserve(members.size());
-  for (int v : members) {
-    out.push_back({vertices_[static_cast<size_t>(v)].param,
-                   std::move(memo.at(v))});
-  }
-  return out;
-}
-
-Result<std::vector<NamedParam>> ArchiveReader::RetrieveSnapshotParallel(
-    const std::string& snapshot, ThreadPool* pool,
-    RetrievalStats* stats) const {
-  MH_ASSIGN_OR_RETURN(std::vector<std::vector<NamedParam>> sets,
-                      RetrieveSnapshotsParallel({snapshot}, pool,
-                                                ParallelScheme::kShared,
-                                                stats));
+  MH_ASSIGN_OR_RETURN(
+      std::vector<std::vector<NamedParam>> sets,
+      RetrieveExact({snapshot}, nullptr, ParallelScheme::kShared, &scope));
   return std::move(sets[0]);
 }
 
@@ -1211,137 +1313,35 @@ Result<std::vector<std::vector<NamedParam>>>
 ArchiveReader::RetrieveSnapshotsParallel(
     const std::vector<std::string>& snapshots, ThreadPool* pool,
     ParallelScheme scheme, RetrievalStats* stats) const {
-  StatsScope scope(this, stats, "pas.retrieve.parallel");
+  StatsScope scope(stats, "pas.retrieve.parallel");
   scope.span().Annotate("snapshots", static_cast<uint64_t>(snapshots.size()));
   scope.span().Annotate(
       "scheme", scheme == ParallelScheme::kShared ? "shared" : "independent");
+  return RetrieveExact(snapshots, pool, scheme, &scope);
+}
+
+Result<std::vector<std::vector<NamedParam>>> ArchiveReader::RetrieveExact(
+    const std::vector<std::string>& snapshots, ThreadPool* pool,
+    ParallelScheme scheme, StatsScope* scope) const {
   std::vector<const std::vector<int>*> member_lists;
-  member_lists.reserve(snapshots.size());
+  std::vector<int> requests;
   for (const std::string& name : snapshots) {
     const int s = FindSnapshot(name);
     if (s < 0) return Status::NotFound("no snapshot: " + name);
     member_lists.push_back(&snapshot_members_[static_cast<size_t>(s)]);
+    requests.insert(requests.end(), member_lists.back()->begin(),
+                    member_lists.back()->end());
   }
-
-  if (scheme == ParallelScheme::kIndependent) {
-    // Table III's plain parallel scheme: one task per requested matrix,
-    // each with a private memo, so shared chain prefixes are re-decoded
-    // once per descendant. Kept as the measurable baseline.
-    std::vector<std::vector<Result<FloatMatrix>>> results;
-    for (const auto* members : member_lists) {
-      results.emplace_back(members->size(),
-                           Result<FloatMatrix>(Status::Internal("unset")));
-    }
-    std::atomic<uint64_t> resolved{0};
-    WaitGroup done;
-    for (size_t set = 0; set < member_lists.size(); ++set) {
-      for (size_t m = 0; m < member_lists[set]->size(); ++m) {
-        const int vertex = (*member_lists[set])[m];
-        Result<FloatMatrix>* slot = &results[set][m];
-        pool->Schedule(&done, [this, vertex, slot, &resolved] {
-          std::map<int, FloatMatrix> memo;  // Independent: no sharing.
-          const Status status = ResolveExact(vertex, &memo).status();
-          resolved.fetch_add(memo.size(), std::memory_order_relaxed);
-          *slot = status.ok() ? Result<FloatMatrix>(std::move(memo.at(vertex)))
-                              : Result<FloatMatrix>(status);
-        });
-      }
-    }
-    done.Wait();
-    scope.set_vertices_resolved(resolved.load());
-    std::vector<std::vector<NamedParam>> out(member_lists.size());
-    for (size_t set = 0; set < member_lists.size(); ++set) {
-      for (size_t m = 0; m < member_lists[set]->size(); ++m) {
-        MH_RETURN_IF_ERROR(results[set][m].status());
-        out[set].push_back(
-            {vertices_[static_cast<size_t>((*member_lists[set])[m])].param,
-             std::move(*results[set][m])});
-      }
-    }
-    scope.MarkOk();
-    return out;
-  }
-
-  // --- Computation-sharing scheduler: one task per vertex of the delta-
-  // chain forest spanned by every requested matrix. A vertex's task runs
-  // once its parent has resolved (roots are scheduled immediately), and
-  // its decoded matrix is shared by all descendant tasks instead of being
-  // re-read and re-applied per matrix.
-  struct Node {
-    int vertex = 0;
-    int parent_node = -1;        ///< Index into nodes; -1 = materialized.
-    std::vector<int> children;   ///< Indexes into nodes.
-    int uses = 0;                ///< Requested-output references.
-    FloatMatrix value;
-    Status status = Status::OK();
-  };
-  std::vector<Node> nodes;
-  std::unordered_map<int, int> node_of;  // vertex id -> node index.
-  for (const auto* members : member_lists) {
-    for (int member : *members) {
-      int cursor = member;
-      while (cursor != 0 && node_of.find(cursor) == node_of.end()) {
-        node_of.emplace(cursor, static_cast<int>(nodes.size()));
-        Node node;
-        node.vertex = cursor;
-        nodes.push_back(std::move(node));
-        cursor = vertices_[static_cast<size_t>(cursor)].parent;
-      }
-      ++nodes[static_cast<size_t>(node_of.at(member))].uses;
-    }
-  }
-  for (size_t n = 0; n < nodes.size(); ++n) {
-    const int parent = vertices_[static_cast<size_t>(nodes[n].vertex)].parent;
-    if (parent == 0) continue;
-    nodes[n].parent_node = node_of.at(parent);
-    nodes[static_cast<size_t>(nodes[n].parent_node)].children.push_back(
-        static_cast<int>(n));
-  }
-
-  // Every node is written by exactly one task; a child task reads its
-  // parent's fields only after the parent task scheduled it, and the
-  // final gather below is ordered by done.Wait() — no locks needed on
-  // the nodes themselves.
-  WaitGroup done;
-  std::function<void(int)> run_vertex;
-  run_vertex = [this, &nodes, pool, &done, &run_vertex](int index) {
-    Node& node = nodes[static_cast<size_t>(index)];
-    node.status = [&]() -> Status {
-      if (node.parent_node >= 0) {
-        const Status& parent_status =
-            nodes[static_cast<size_t>(node.parent_node)].status;
-        if (!parent_status.ok()) return parent_status;  // Cascade failure.
-      }
-      const VertexMeta& meta = vertices_[static_cast<size_t>(node.vertex)];
-      MH_ASSIGN_OR_RETURN(FloatMatrix payload, ReadPayload(meta));
-      MH_COUNTER("pas.retrieve.vertex.decode")->Increment();
-      if (meta.parent == 0) {
-        node.value = std::move(payload);
-        return Status::OK();
-      }
-      const FloatMatrix& base =
-          nodes[static_cast<size_t>(node.parent_node)].value;
-      MH_ASSIGN_OR_RETURN(node.value,
-                          ApplyDelta(base, payload, meta.delta_kind));
-      MH_COUNTER("pas.retrieve.delta.apply")->Increment();
-      return Status::OK();
-    }();
-    for (int child : node.children) {
-      pool->Schedule(&done, [&run_vertex, child] { run_vertex(child); });
-    }
-  };
-  for (size_t n = 0; n < nodes.size(); ++n) {
-    if (nodes[n].parent_node >= 0) continue;
-    const int index = static_cast<int>(n);
-    pool->Schedule(&done, [&run_vertex, index] { run_vertex(index); });
-  }
-  done.Wait();
-  scope.set_vertices_resolved(nodes.size());
-
+  std::vector<PlanNode> nodes;
+  MH_ASSIGN_OR_RETURN(const std::vector<int> outputs,
+                      Plan(requests, 0, scheme, &nodes));
+  Execute(&nodes, 0, pool);
+  scope->Record(nodes);
   std::vector<std::vector<NamedParam>> out(member_lists.size());
+  size_t next = 0;
   for (size_t set = 0; set < member_lists.size(); ++set) {
-    for (int member : *member_lists[set]) {
-      Node& node = nodes[static_cast<size_t>(node_of.at(member))];
+    for (const int member : *member_lists[set]) {
+      PlanNode& node = nodes[static_cast<size_t>(outputs[next++])];
       MH_RETURN_IF_ERROR(node.status);
       // The last requester steals the decoded matrix; earlier requesters
       // (the same snapshot listed twice) must copy.
@@ -1355,72 +1355,8 @@ ArchiveReader::RetrieveSnapshotsParallel(
                           std::move(value)});
     }
   }
-  scope.MarkOk();
+  scope->MarkOk();
   return out;
-}
-
-Result<const IntervalMatrix*> ArchiveReader::ResolveBounds(
-    int vertex, int planes, std::map<int, IntervalMatrix>* memo,
-    std::map<int, FloatMatrix>* exact_memo) const {
-  auto it = memo->find(vertex);
-  if (it != memo->end()) return &it->second;
-  const VertexMeta& meta = vertices_[static_cast<size_t>(vertex)];
-  const bool is_xor = meta.delta_kind == DeltaKind::kXor ||
-                      meta.delta_kind == DeltaKind::kAdaptiveXor;
-  if (is_xor && planes < kNumPlanes) {
-    return Status::InvalidArgument(
-        "partial retrieval is not defined over XOR deltas");
-  }
-  std::string plane_data[kNumPlanes];
-  std::vector<Slice> plane_slices;
-  for (int p = 0; p < planes; ++p) {
-    const ChunkStoreReader* store = stores_[meta.slots[p]].get();
-    MH_ASSIGN_OR_RETURN(plane_data[p], store->Get(meta.chunk_ids[p]));
-    plane_slices.emplace_back(plane_data[p]);
-  }
-  MH_ASSIGN_OR_RETURN(
-      IntervalMatrix own,
-      BoundsFromPlanes(meta.rows, meta.cols, plane_slices));
-  IntervalMatrix value;
-  if (meta.parent == 0) {
-    value = std::move(own);
-  } else if (is_xor) {
-    // Full planes: exact chain; XOR needs bit-exact operands. The exact
-    // memo is threaded through the whole snapshot resolution, so a chain
-    // prefix shared by several XOR vertices is decoded only once.
-    MH_ASSIGN_OR_RETURN(const FloatMatrix* exact,
-                        ResolveExact(vertex, exact_memo));
-    value = IntervalMatrix::FromExact(*exact);
-  } else {
-    MH_ASSIGN_OR_RETURN(const IntervalMatrix* base_ptr,
-                        ResolveBounds(meta.parent, planes, memo, exact_memo));
-    const IntervalMatrix& base = *base_ptr;
-    // target = base + delta on the overlap (interval addition); outside
-    // the base's extent (adaptive deltas only) the delta carries the
-    // target verbatim, so its own bounds stand alone.
-    const int64_t overlap_rows = std::min(meta.rows, base.rows());
-    const int64_t overlap_cols = std::min(meta.cols, base.cols());
-    if (meta.delta_kind == DeltaKind::kSub &&
-        (overlap_rows != meta.rows || overlap_cols != meta.cols)) {
-      return Status::Corruption("exact SUB delta with mismatched base shape");
-    }
-    FloatMatrix lo(meta.rows, meta.cols);
-    FloatMatrix hi(meta.rows, meta.cols);
-    for (int64_t r = 0; r < meta.rows; ++r) {
-      for (int64_t c = 0; c < meta.cols; ++c) {
-        if (r < overlap_rows && c < overlap_cols) {
-          lo.At(r, c) = base.lo().At(r, c) + own.lo().At(r, c);
-          hi.At(r, c) = base.hi().At(r, c) + own.hi().At(r, c);
-        } else {
-          lo.At(r, c) = own.lo().At(r, c);
-          hi.At(r, c) = own.hi().At(r, c);
-        }
-      }
-    }
-    MH_ASSIGN_OR_RETURN(value,
-                        IntervalMatrix::FromBounds(std::move(lo), std::move(hi)));
-  }
-  return &memo->emplace(vertex, std::move(value)).first->second;
 }
 
 Result<std::map<std::string, IntervalMatrix>>
@@ -1429,25 +1365,26 @@ ArchiveReader::RetrieveSnapshotBounds(const std::string& snapshot,
   if (planes < 1 || planes > kNumPlanes) {
     return Status::InvalidArgument("planes must be in [1,4]");
   }
-  StatsScope scope(this, nullptr, "pas.retrieve.bounds");
+  StatsScope scope(nullptr, "pas.retrieve.bounds");
   scope.span().Annotate("snapshot", snapshot);
   scope.span().Annotate("planes", static_cast<uint64_t>(planes));
   const int s = FindSnapshot(snapshot);
   if (s < 0) return Status::NotFound("no snapshot: " + snapshot);
   const std::vector<int>& members = snapshot_members_[static_cast<size_t>(s)];
-  std::map<int, IntervalMatrix> memo;
-  std::map<int, FloatMatrix> exact_memo;  // Shared by all XOR vertices.
-  for (int v : members) {
-    const Status status = ResolveBounds(v, planes, &memo, &exact_memo).status();
-    scope.set_vertices_resolved(memo.size());
-    if (!status.ok()) return status;
+  std::vector<PlanNode> nodes;
+  MH_ASSIGN_OR_RETURN(const std::vector<int> outputs,
+                      Plan(members, planes, ParallelScheme::kShared, &nodes));
+  Execute(&nodes, planes, nullptr);
+  scope.Record(nodes);
+  std::map<std::string, IntervalMatrix> out;
+  for (size_t m = 0; m < members.size(); ++m) {
+    PlanNode& node = nodes[static_cast<size_t>(outputs[m])];
+    MH_RETURN_IF_ERROR(node.status);
+    out.emplace(vertices_[static_cast<size_t>(members[m])].param,
+                node.exact ? IntervalMatrix::FromExact(node.value)
+                           : std::move(node.bounds));
   }
   scope.MarkOk();
-  std::map<std::string, IntervalMatrix> out;
-  for (int v : members) {
-    out.emplace(vertices_[static_cast<size_t>(v)].param,
-                std::move(memo.at(v)));
-  }
   return out;
 }
 

@@ -129,24 +129,6 @@ struct SnapshotSpec {
   const std::vector<NamedParam>* params = nullptr;
 };
 
-/// Tier knobs for BuildMatrixStorageGraph (see ArchiveOptions).
-struct TierOptions {
-  bool enable_remote = false;
-  double storage_discount = 0.5;
-  double read_penalty = 4.0;
-};
-
-/// Constructs the matrix storage graph (Definition 1) for a set of
-/// snapshots: vertex ids are assigned 1..N in (snapshot, param) order;
-/// every matrix gets a materialization edge from v0, every candidate pair
-/// contributes delta edges for same-name same-shape parameters (shape
-/// changes fall back to adaptive deltas), and each snapshot becomes one
-/// co-usage group (budgets 0 — set them afterwards). With tiers enabled,
-/// every edge gets a remote twin. Exposed so benchmarks can solve one
-/// graph under many budget settings. When `pool` is non-null the per-edge
-/// cost model (trial delta + compression per candidate edge) is evaluated
-/// on it; edges are still added in deterministic candidate order, so the
-/// graph is identical with or without a pool.
 /// A matrix-level delta-parent candidate (similarity pairing's output):
 /// `to` considers `from` as a delta base. Both must name registered
 /// (snapshot, param) matrices of equal shape.
@@ -157,11 +139,22 @@ struct MatrixPairCandidate {
   std::string to_param;
 };
 
+/// Constructs the matrix storage graph (Definition 1) for a set of
+/// snapshots: vertex ids are assigned 1..N in (snapshot, param) order;
+/// every matrix gets a materialization edge from v0, every candidate pair
+/// contributes delta edges for same-name same-shape parameters (shape
+/// changes fall back to adaptive deltas), and each snapshot becomes one
+/// co-usage group (budgets 0 — set them afterwards). Edge costs follow
+/// `options`' codec, delta_kind and recreation_raw_weight; with
+/// enable_remote_tier every edge gets a remote twin. Exposed so benchmarks
+/// can solve one graph under many budget settings. When `pool` is non-null
+/// the per-edge cost model (trial delta + compression per candidate edge)
+/// is evaluated on it; edges are still added in deterministic candidate
+/// order, so the graph is identical with or without a pool.
 Result<MatrixStorageGraph> BuildMatrixStorageGraph(
     const std::vector<SnapshotSpec>& snapshots,
     const std::vector<std::pair<int, int>>& candidate_pairs,
-    CodecType codec, DeltaKind delta_kind, double recreation_raw_weight,
-    const TierOptions& tiers = {}, ThreadPool* pool = nullptr,
+    const ArchiveOptions& options, ThreadPool* pool = nullptr,
     const std::vector<MatrixPairCandidate>& matrix_pairs = {},
     int* first_similarity_edge = nullptr);
 
@@ -237,28 +230,28 @@ class ArchiveBuilder {
 
 /// What one retrieval call actually did (Table III instrumentation):
 /// chunk fetches, cache behavior, bytes moved, chain vertices decoded,
-/// and wall time. Computed from chunk-store counter deltas, so the
-/// numbers are exact for a quiescent reader and approximate when other
-/// retrievals run concurrently on the same reader.
+/// and wall time. Every chunk Get of the call reports into its plan
+/// node's own sink, so the numbers are exact for this call even while
+/// other retrievals run concurrently on the same reader: summed over
+/// calls they equal the stores' counter deltas (store_stats()).
 struct RetrievalStats {
-  uint64_t chunk_fetches = 0;      ///< Disk chunk fetches (both stores).
+  uint64_t chunk_fetches = 0;      ///< Disk chunk fetches (all stores).
   uint64_t cache_hits = 0;         ///< Chunk cache hits.
-  uint64_t cache_evictions = 0;    ///< LRU evictions during the call.
+  uint64_t cache_evictions = 0;    ///< LRU evictions this call's Gets caused.
   uint64_t bytes_read = 0;         ///< Compressed bytes fetched.
   uint64_t vertices_resolved = 0;  ///< Delta-chain vertices decoded.
   double wall_ms = 0.0;            ///< Wall time of the call.
 };
 
-/// Which parallel execution strategy RetrieveSnapshotsParallel uses
-/// (Table III's parallel vs. computation-sharing columns).
+/// How RetrieveSnapshotsParallel plans the delta chains of the requested
+/// matrices (Table III's independent vs. computation-sharing columns).
+/// Either plan runs as one pool task per chain vertex, after its parent.
 enum class ParallelScheme {
-  /// One task per requested matrix, each re-decoding its whole delta
-  /// chain with a private memo — shared chain prefixes are re-read and
-  /// re-applied once per descendant matrix.
+  /// Every requested matrix gets a private delta chain: shared chain
+  /// prefixes are re-read and re-applied once per descendant matrix.
   kIndependent,
-  /// One dependency-counted task per delta-chain vertex: a vertex is
-  /// decoded once, when its parent resolves, and the decoded value is
-  /// shared by all descendants.
+  /// One forest over all requested matrices: a vertex is decoded once
+  /// and its value is shared by all descendants.
   kShared,
 };
 
@@ -302,37 +295,32 @@ class ArchiveReader {
   Result<FloatMatrix> RetrieveMatrix(const std::string& snapshot,
                                      const std::string& param) const;
 
-  /// Exact retrieval of all matrices of a snapshot, sharing delta-chain
-  /// work within the call (the reusable scheme's computation sharing).
+  /// Exact retrieval of all matrices of a snapshot on the calling thread,
+  /// sharing delta-chain work within the call (the reusable scheme's
+  /// computation sharing).
   Result<std::vector<NamedParam>> RetrieveSnapshot(
       const std::string& snapshot, RetrievalStats* stats = nullptr) const;
 
-  /// Parallel retrieval of one snapshot on `pool` using the
-  /// computation-sharing scheduler (ParallelScheme::kShared). Requires a
-  /// thread-safe Env. Safe to call concurrently from several threads on
-  /// one shared pool: completion is tracked per call with a WaitGroup,
-  /// never with ThreadPool::Wait().
-  Result<std::vector<NamedParam>> RetrieveSnapshotParallel(
-      const std::string& snapshot, ThreadPool* pool,
-      RetrievalStats* stats = nullptr) const;
-
   /// Parallel retrieval of a set of snapshots (e.g. adjacent checkpoints
-  /// for comparison or an ensemble) in one scheduled batch. Under
-  /// kShared, the union of all delta chains is resolved as one forest:
-  /// each vertex is read, decompressed and delta-applied exactly once,
-  /// no matter how many requested matrices descend from it. Under
+  /// for comparison or an ensemble) in one scheduled batch on `pool`.
+  /// Under kShared, the union of all delta chains is resolved as one
+  /// forest: each vertex is read, decompressed and delta-applied exactly
+  /// once, no matter how many requested matrices descend from it. Under
   /// kIndependent every requested matrix privately re-decodes its chain
   /// (the Table III baseline). Results are returned in `snapshots`
-  /// order.
+  /// order. Requires a thread-safe Env. Safe to call concurrently from
+  /// several threads on one shared pool: completion is tracked per call
+  /// with a WaitGroup, never with ThreadPool::Wait().
   Result<std::vector<std::vector<NamedParam>>> RetrieveSnapshotsParallel(
       const std::vector<std::string>& snapshots, ThreadPool* pool,
       ParallelScheme scheme = ParallelScheme::kShared,
       RetrievalStats* stats = nullptr) const;
 
   /// Sound bounds using only the first `planes` byte planes of every chunk
-  /// involved. planes == 4 gives exact (degenerate) bounds. Requires every
-  /// delta on the chains to be kSub or kMaterialized (XOR does not
-  /// propagate intervals).
+  /// involved. planes == 4 gives exact (degenerate) bounds. XOR deltas do
+  /// not propagate intervals: a chain through one is InvalidArgument for
+  /// planes < 4, and at 4 planes its XOR vertices and their ancestors are
+  /// resolved exactly.
   Result<std::map<std::string, IntervalMatrix>> RetrieveSnapshotBounds(
       const std::string& snapshot, int planes) const;
 
@@ -419,19 +407,30 @@ class ArchiveReader {
     uint32_t slots[kNumPlanes] = {0, 0, 0, 0};
   };
 
-  /// Resolves `vertex`'s full-precision value into `memo` and returns a
-  /// pointer to the memoized matrix (std::map references are stable), so
-  /// delta chains are decoded with zero redundant matrix copies. Callers
-  /// may move the value out of the memo once all resolution is done.
-  Result<const FloatMatrix*> ResolveExact(
-      int vertex, std::map<int, FloatMatrix>* memo) const;
-  /// Same contract for partial bounds. `exact_memo` carries full-
-  /// precision values across every XOR vertex of the call, so one chain
-  /// prefix is never exactly re-read per XOR descendant.
-  Result<const IntervalMatrix*> ResolveBounds(
-      int vertex, int planes, std::map<int, IntervalMatrix>* memo,
-      std::map<int, FloatMatrix>* exact_memo) const;
-  Result<FloatMatrix> ReadPayload(const VertexMeta& meta) const;
+  // The retrieval pipeline behind every Retrieve* entry point (DESIGN.md
+  // §7.1). `planes` == 0 asks for exact values, 1..4 for bounds.
+  struct PlanNode;
+  class StatsScope;
+
+  /// Appends to `nodes` the (vertex, exact-or-bounds) forest `requests`
+  /// (vertex ids) need, parents before children, and returns each
+  /// request's node. kShared shares nodes across requests; kIndependent
+  /// gives each request a private chain.
+  Result<std::vector<int>> Plan(const std::vector<int>& requests, int planes,
+                                ParallelScheme scheme,
+                                std::vector<PlanNode>* nodes) const;
+  /// Resolves every node after its parent, inline when `pool` is null,
+  /// else as one pool task per node. A failed node's status passes down
+  /// to its subtree.
+  void Execute(std::vector<PlanNode>* nodes, int planes,
+               ThreadPool* pool) const;
+  /// The one vertex operation: reads `node`'s planes and combines them
+  /// with `parent`'s result (null for a materialized vertex).
+  Status Resolve(PlanNode* node, const PlanNode* parent, int planes) const;
+  /// Exact values of every member of `snapshots`, booked into `scope`.
+  Result<std::vector<std::vector<NamedParam>>> RetrieveExact(
+      const std::vector<std::string>& snapshots, ThreadPool* pool,
+      ParallelScheme scheme, StatsScope* scope) const;
 
   /// Index of `snapshot` in snapshot_members_, or -1.
   int FindSnapshot(const std::string& snapshot) const;

@@ -151,7 +151,8 @@ void ChunkStoreReader::SetCacheCapacity(uint64_t bytes) {
   EvictToCapacityLocked();
 }
 
-void ChunkStoreReader::EvictToCapacityLocked() const {
+uint64_t ChunkStoreReader::EvictToCapacityLocked() const {
+  uint64_t evicted = 0;
   while (stats_->cache_bytes.load(std::memory_order_relaxed) >
              cache_capacity_ &&
          !lru_.empty()) {
@@ -163,13 +164,18 @@ void ChunkStoreReader::EvictToCapacityLocked() const {
     cache_.erase(it);
     stats_->cache_evictions.fetch_add(1, std::memory_order_relaxed);
     MH_COUNTER("pas.chunk.cache.evict")->Increment();
+    ++evicted;
   }
+  return evicted;
 }
 
-Result<std::string> ChunkStoreReader::Get(uint32_t id) const {
+Result<std::string> ChunkStoreReader::Get(uint32_t id,
+                                          ChunkStoreStats* call) const {
   if (id >= refs_.size()) {
     return Status::InvalidArgument("chunk id out of range");
   }
+  ChunkStoreStats unused;
+  ChunkStoreStats& sink = call != nullptr ? *call : unused;
   {
     std::lock_guard<std::mutex> lock(*mutex_);
     if (cache_enabled_) {
@@ -177,6 +183,7 @@ Result<std::string> ChunkStoreReader::Get(uint32_t id) const {
       if (it != cache_.end()) {
         lru_.splice(lru_.begin(), lru_, it->second.lru_it);
         stats_->cache_hits.fetch_add(1, std::memory_order_relaxed);
+        ++sink.cache_hits;
         MH_COUNTER("pas.chunk.cache.hit")->Increment();
         return it->second.data;
       }
@@ -250,11 +257,14 @@ Result<std::string> ChunkStoreReader::Get(uint32_t id) const {
       if (it != cache_.end()) {
         lru_.splice(lru_.begin(), lru_, it->second.lru_it);
         stats_->cache_hits.fetch_add(1, std::memory_order_relaxed);
+        ++sink.cache_hits;
         return it->second.data;
       }
     }
     stats_->bytes_read.fetch_add(ref.stored_size, std::memory_order_relaxed);
     stats_->chunk_fetches.fetch_add(1, std::memory_order_relaxed);
+    sink.bytes_read += ref.stored_size;
+    ++sink.chunk_fetches;
     // Oversized chunks bypass the cache entirely: admitting one would
     // evict most or all of the resident working set for a payload that
     // is typically read once. The 1/kCacheAdmitFraction cap keeps any
@@ -264,7 +274,7 @@ Result<std::string> ChunkStoreReader::Get(uint32_t id) const {
       lru_.push_front(id);
       cache_.emplace(id, CacheEntry{raw, lru_.begin()});
       stats_->cache_bytes.fetch_add(raw.size(), std::memory_order_relaxed);
-      EvictToCapacityLocked();
+      sink.cache_evictions += EvictToCapacityLocked();
     }
   }
   MH_COUNTER("pas.chunk.fetch.count")->Increment();

@@ -119,8 +119,11 @@ class ChunkStoreReader {
   /// falls back to ranged reads, where a checksum mismatch or short read
   /// is retried once (transient read faults) and a second failure is
   /// reported as Corruption. Thread-safe; counters and cache are
-  /// mutex-guarded.
-  Result<std::string> Get(uint32_t id) const;
+  /// mutex-guarded. When `call` is non-null, this Get's cache hit or
+  /// fetch, fetched bytes and the evictions it caused are also added to
+  /// `*call` (a per-call sink with a single writer; cache_bytes is left
+  /// alone).
+  Result<std::string> Get(uint32_t id, ChunkStoreStats* call = nullptr) const;
 
   /// Integrity check of chunk `id` without decompression: re-reads the
   /// payload and verifies its CRC. Used by `dlv fsck`.
@@ -175,9 +178,9 @@ class ChunkStoreReader {
     std::list<uint32_t>::iterator lru_it;
   };
 
-  /// Evicts least-recently-used entries until the bound holds. Caller
-  /// must hold *mutex_.
-  void EvictToCapacityLocked() const;
+  /// Evicts least-recently-used entries until the bound holds and
+  /// returns how many it evicted. Caller must hold *mutex_.
+  uint64_t EvictToCapacityLocked() const;
 
   /// Atomic mirror of ChunkStoreStats. Held via pointer (atomics are not
   /// movable) so the reader stays movable, like mutex_ below.

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <mutex>
 #include <thread>
 #include <tuple>
 
+#include "common/checked_io.h"
+#include "common/coding.h"
 #include "common/env.h"
 #include "common/fault_env.h"
 #include "common/thread_pool.h"
@@ -547,15 +550,16 @@ TEST_F(ArchiveTest, ParallelRetrievalMatchesSequential) {
   for (const auto& name : names_) {
     auto sequential = reader->RetrieveSnapshot(name);
     ASSERT_TRUE(sequential.ok());
-    auto parallel = reader->RetrieveSnapshotParallel(name, &pool);
-    ASSERT_TRUE(parallel.ok());
+    auto sets = reader->RetrieveSnapshotsParallel({name}, &pool);
+    ASSERT_TRUE(sets.ok());
+    const std::vector<NamedParam>* parallel = &(*sets)[0];
     ASSERT_EQ(parallel->size(), sequential->size());
     for (size_t p = 0; p < parallel->size(); ++p) {
       EXPECT_EQ((*parallel)[p].name, (*sequential)[p].name);
       EXPECT_TRUE((*parallel)[p].value.BitEquals((*sequential)[p].value));
     }
   }
-  EXPECT_TRUE(reader->RetrieveSnapshotParallel("nope", &pool)
+  EXPECT_TRUE(reader->RetrieveSnapshotsParallel({"nope"}, &pool)
                   .status()
                   .IsNotFound());
 }
@@ -659,11 +663,12 @@ TEST_F(DeepChainArchiveTest, ConcurrentRetrievalsShareOnePool) {
   std::atomic<int> failures{0};
   auto retrieve_loop = [&](size_t index, int rounds) {
     for (int r = 0; r < rounds; ++r) {
-      auto params = reader->RetrieveSnapshotParallel(names_[index], &pool);
-      if (!params.ok()) {
+      auto sets = reader->RetrieveSnapshotsParallel({names_[index]}, &pool);
+      if (!sets.ok()) {
         failures.fetch_add(1);
         return;
       }
+      const std::vector<NamedParam>* params = &(*sets)[0];
       const auto& truth = originals_[index];
       if (params->size() != truth.size()) {
         failures.fetch_add(1);
@@ -699,7 +704,7 @@ TEST_F(DeepChainArchiveTest, CacheBoundHeldDuringRetrieval) {
   reader->SetChunkCacheCapacity(bound);
   ThreadPool pool(4);
   for (const auto& name : names_) {
-    auto params = reader->RetrieveSnapshotParallel(name, &pool);
+    auto params = reader->RetrieveSnapshotsParallel({name}, &pool);
     ASSERT_TRUE(params.ok());
     EXPECT_LE(reader->store_stats().cache_bytes, bound);
   }
@@ -736,6 +741,97 @@ TEST_F(DeepChainArchiveTest, BatchRetrievalValidation) {
   ASSERT_EQ((*dup)[0].size(), (*dup)[1].size());
   for (size_t p = 0; p < (*dup)[0].size(); ++p) {
     EXPECT_TRUE((*dup)[0][p].value.BitEquals((*dup)[1][p].value));
+  }
+}
+
+// Per-call stats are exact while other retrievals overlap on the same
+// reader: each call's Gets add up to its own chain vertices, and the calls
+// together account for every counter the stores moved. (Run under TSan in
+// CI.)
+TEST_F(DeepChainArchiveTest, RetrievalStatsExactUnderConcurrency) {
+  auto reader = ArchiveReader::Open(&env_, "deep");
+  ASSERT_TRUE(reader.ok());
+  reader->EnableChunkCache(true);
+  reader->SetChunkCacheCapacity(64 * 1024);  // Small enough to evict.
+  ThreadPool pool(4);
+  const ChunkStoreStats before = reader->store_stats();
+  std::mutex mu;
+  RetrievalStats sum;
+  int calls = 0;
+  int failed = 0;
+  int inexact = 0;
+  auto retrieve_loop = [&](size_t thread) {
+    for (size_t round = 0; round < 8; ++round) {
+      const std::string& name = names_[(thread + round) % names_.size()];
+      RetrievalStats stats;
+      const bool ok =
+          (thread + round) % 2 == 0
+              ? reader->RetrieveSnapshot(name, &stats).ok()
+              : reader->RetrieveSnapshotsParallel({name}, &pool,
+                                                  ParallelScheme::kShared,
+                                                  &stats)
+                    .ok();
+      std::lock_guard<std::mutex> lock(mu);
+      ++calls;
+      if (!ok) ++failed;
+      if (stats.chunk_fetches + stats.cache_hits !=
+          kNumPlanes * stats.vertices_resolved) {
+        ++inexact;
+      }
+      sum.chunk_fetches += stats.chunk_fetches;
+      sum.cache_hits += stats.cache_hits;
+      sum.cache_evictions += stats.cache_evictions;
+      sum.bytes_read += stats.bytes_read;
+    }
+  };
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < 4; ++t) threads.emplace_back(retrieve_loop, t);
+  for (auto& thread : threads) thread.join();
+  const ChunkStoreStats after = reader->store_stats();
+  EXPECT_EQ(calls, 32);
+  EXPECT_EQ(failed, 0);
+  EXPECT_EQ(inexact, 0);
+  EXPECT_EQ(sum.chunk_fetches, after.chunk_fetches - before.chunk_fetches);
+  EXPECT_EQ(sum.cache_hits, after.cache_hits - before.cache_hits);
+  EXPECT_EQ(sum.cache_evictions,
+            after.cache_evictions - before.cache_evictions);
+  EXPECT_EQ(sum.bytes_read, after.bytes_read - before.bytes_read);
+  EXPECT_GT(sum.cache_hits, 0u);
+  EXPECT_GT(sum.cache_evictions, 0u);
+}
+
+// Partial bounds are undefined over XOR deltas, so a snapshot whose chains
+// hold one needs all four planes; at four planes the XOR vertices resolve
+// exactly and the bounds collapse onto the exact weights.
+TEST_F(DeepChainArchiveTest, XorBoundsNeedAllFourPlanes) {
+  auto reader = ArchiveReader::Open(&env_, "deep");
+  ASSERT_TRUE(reader.ok());
+  for (size_t s = 0; s < names_.size(); ++s) {
+    SCOPED_TRACE(names_[s]);
+    RetrievalStats stats;
+    auto exact = reader->RetrieveSnapshot(names_[s], &stats);
+    ASSERT_TRUE(exact.ok());
+    // Every delta of this archive is XOR, so any chain longer than its own
+    // vertex holds one.
+    const bool has_xor = stats.vertices_resolved > exact->size();
+    if (s + 1 == names_.size()) {
+      EXPECT_TRUE(has_xor);
+    }
+    for (int planes = 1; planes < kNumPlanes; ++planes) {
+      EXPECT_EQ(reader->RetrieveSnapshotBounds(names_[s], planes)
+                    .status()
+                    .IsInvalidArgument(),
+                has_xor)
+          << planes;
+    }
+    auto bounds = reader->RetrieveSnapshotBounds(names_[s], kNumPlanes);
+    ASSERT_TRUE(bounds.ok());
+    ASSERT_EQ(bounds->size(), exact->size());
+    for (const NamedParam& param : *exact) {
+      const IntervalMatrix& im = bounds->at(param.name);
+      EXPECT_TRUE(im.lo().BitEquals(param.value)) << param.name;
+      EXPECT_TRUE(im.hi().BitEquals(param.value)) << param.name;
+    }
   }
 }
 
@@ -1104,6 +1200,90 @@ TEST(ArchiveFaultTest, PartialRetrievalStatsOnReadError) {
   // Disarm the fault: the same reader retrieves cleanly again.
   fault.Reset();
   ASSERT_TRUE(reader->RetrieveSnapshot(names[2]).ok());
+}
+
+// A CRC-valid manifest whose parent links form a cycle opens (Open only
+// bounds each parent id), but no retrieval may recurse forever or return
+// an empty matrix: every entry point reports Corruption, and fsck still
+// names the chain.
+TEST(ArchiveCorruptionTest, CyclicDeltaChainIsCorruption) {
+  MemEnv env;
+  Rng rng(5);
+  std::vector<NamedParam> a = {{"w", FloatMatrix(16, 16)}};
+  a[0].value.FillGaussian(&rng, 0.1f);
+  std::vector<NamedParam> b = a;
+  for (auto& v : b[0].value.data()) v += rng.UniformFloat(-1e-3f, 1e-3f);
+  {
+    ArchiveBuilder builder(&env, "arch");
+    ASSERT_TRUE(builder.AddSnapshot("a", a).ok());
+    ASSERT_TRUE(builder.AddSnapshot("b", b).ok());
+    ASSERT_TRUE(builder.AddDeltaCandidate("a", "b").ok());
+    ArchiveOptions options;
+    options.solver = ArchiveSolver::kMst;
+    options.delta_kind = DeltaKind::kSub;
+    ASSERT_TRUE(builder.Build(options).ok());
+  }
+  // One of the two vertices is the materialized root, the other deltas
+  // off it. Point the root's parent varint at the other vertex, so the
+  // chain becomes v1 -> v2 -> v1.
+  auto framed = ReadChecked(&env, "arch/manifest.bin");
+  ASSERT_TRUE(framed.ok());
+  std::string manifest = *framed;
+  Slice in(manifest);
+  in.RemovePrefix(6);  // "MHAM3\n"
+  uint64_t value = 0;
+  Slice text;
+  ASSERT_TRUE(GetVarint64(&in, &value).ok());        // generation
+  ASSERT_TRUE(GetLengthPrefixed(&in, &text).ok());   // chunk file
+  ASSERT_TRUE(GetLengthPrefixed(&in, &text).ok());   // remote file
+  ASSERT_TRUE(GetVarint64(&in, &value).ok());        // extra files
+  ASSERT_EQ(value, 0u);
+  ASSERT_TRUE(GetVarint64(&in, &value).ok());        // matrices
+  ASSERT_EQ(value, 2u);
+  size_t parent_at[2] = {0, 0};
+  for (int v = 0; v < 2; ++v) {
+    ASSERT_TRUE(GetLengthPrefixed(&in, &text).ok());  // snapshot
+    ASSERT_TRUE(GetLengthPrefixed(&in, &text).ok());  // param
+    ASSERT_TRUE(GetVarint64(&in, &value).ok());       // rows
+    ASSERT_TRUE(GetVarint64(&in, &value).ok());       // cols
+    in.RemovePrefix(2);                               // delta kind, tier
+    parent_at[v] = manifest.size() - in.size();
+    ASSERT_TRUE(GetVarint64(&in, &value).ok());       // parent
+    for (int p = 0; p < 2 * kNumPlanes; ++p) {        // slot, chunk id
+      ASSERT_TRUE(GetVarint64(&in, &value).ok());
+    }
+  }
+  const int root = manifest[parent_at[0]] == 0 ? 0 : 1;
+  ASSERT_EQ(manifest[parent_at[root]], 0);
+  ASSERT_EQ(manifest[parent_at[1 - root]], root + 1);
+  manifest[parent_at[root]] = static_cast<char>(2 - root);
+  ASSERT_TRUE(WriteChecked(&env, "arch/manifest.bin", manifest).ok());
+
+  auto reader = ArchiveReader::Open(&env, "arch");
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  ThreadPool pool(2);
+  for (const std::string name : {"a", "b"}) {
+    SCOPED_TRACE(name);
+    EXPECT_TRUE(reader->RetrieveMatrix(name, "w").status().IsCorruption());
+    EXPECT_TRUE(reader->RetrieveSnapshot(name).status().IsCorruption());
+    for (ParallelScheme scheme :
+         {ParallelScheme::kShared, ParallelScheme::kIndependent}) {
+      EXPECT_TRUE(reader->RetrieveSnapshotsParallel({name}, &pool, scheme)
+                      .status()
+                      .IsCorruption());
+    }
+    for (int planes = 1; planes <= kNumPlanes; ++planes) {
+      EXPECT_TRUE(reader->RetrieveSnapshotBounds(name, planes)
+                      .status()
+                      .IsCorruption())
+          << planes;
+    }
+  }
+  bool flagged = false;
+  for (const std::string& defect : reader->VerifyIntegrity()) {
+    flagged |= defect.find("does not terminate") != std::string::npos;
+  }
+  EXPECT_TRUE(flagged);
 }
 
 // ------------------------------------------------------------ golden

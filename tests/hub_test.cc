@@ -196,7 +196,8 @@ TEST_F(HubTest, CompactPublishArchivesThroughParallelPipeline) {
   for (const auto& info : *source_list) EXPECT_TRUE(info.archived);
   EXPECT_TRUE(env_.DirExists("hub/alice/alexnets/pas"));
 
-  compacts = hub.Metrics().Find("hub.publish.compact");
+  const MetricsSnapshot after_publish = hub.Metrics();
+  compacts = after_publish.Find("hub.publish.compact");
   ASSERT_NE(compacts, nullptr);
   EXPECT_EQ(compacts->counter, compact_base + 1);
 
@@ -211,7 +212,8 @@ TEST_F(HubTest, CompactPublishArchivesThroughParallelPipeline) {
   // compaction (no second archive pass, publish still succeeds).
   ASSERT_TRUE(
       hub.Publish("local/alexrepo", "alice", "alexnets", options).ok());
-  compacts = hub.Metrics().Find("hub.publish.compact");
+  const MetricsSnapshot after_republish = hub.Metrics();
+  compacts = after_republish.Find("hub.publish.compact");
   ASSERT_NE(compacts, nullptr);
   EXPECT_EQ(compacts->counter, compact_base + 1);
 }
