@@ -1,13 +1,13 @@
 // Archival write-pipeline benchmark: ingest MB/s of ArchiveBuilder::Build
 // at 1 / 4 / 8 encode threads over one synthetic checkpoint chain, plus
 // per-parameter encode latency percentiles and a byte-identity check of
-// every parallel archive against the serial reference. Emits
+// every parallel archive against the one-worker build. Emits
 // BENCH_archival.json.
 //
-// Speedup is reported against the measured serial wall time of the same
-// corpus. `hardware_threads` is included so a reader can judge the
-// numbers: on a single-core container the pipeline cannot beat serial no
-// matter how many workers it spawns — the differential bit-identity
+// Speedup is reported against the measured one-worker wall time of the
+// same corpus. `hardware_threads` is included so a reader can judge the
+// numbers: on a single-core container the pipeline cannot beat one worker
+// no matter how many workers it spawns — the differential bit-identity
 // result (and the property/robustness suites) carry the correctness
 // claim, the speedup column is honest wall-clock on whatever hardware ran
 // the bench.
@@ -213,7 +213,7 @@ int main() {
     rows.push_back(row);
 
     // Differential check: every archive must be byte-identical to the
-    // serial reference.
+    // one-worker build.
     auto names = env.ListDir("archive");
     bench::Check(names.status(), "list");
     std::map<std::string, std::string> files;

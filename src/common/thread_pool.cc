@@ -100,4 +100,17 @@ void ThreadPool::WorkerLoop() {
   }
 }
 
+void ParallelFor(ThreadPool* pool, size_t n,
+                 const std::function<void(size_t)>& fn) {
+  if (pool == nullptr) {
+    for (size_t i = 0; i < n; ++i) fn(i);
+    return;
+  }
+  WaitGroup done;
+  for (size_t i = 0; i < n; ++i) {
+    pool->Schedule(&done, [&fn, i] { fn(i); });
+  }
+  done.Wait();
+}
+
 }  // namespace modelhub

@@ -84,6 +84,13 @@ class ThreadPool {
   std::vector<std::thread> workers_;
 };
 
+/// Runs fn(0) .. fn(n - 1). With a pool, each index is one task tracked by
+/// a per-call WaitGroup, so concurrent callers on a shared pool never wait
+/// on each other's work; with a null pool the calls run inline, in index
+/// order. Returns once every call has returned.
+void ParallelFor(ThreadPool* pool, size_t n,
+                 const std::function<void(size_t)>& fn);
+
 }  // namespace modelhub
 
 #endif  // MODELHUB_COMMON_THREAD_POOL_H_

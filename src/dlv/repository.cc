@@ -562,7 +562,7 @@ Result<ArchiveBuildReport> Repository::Archive(const ArchiveOptions& options) {
     for (int64_t s = 0; s < count; ++s) {
       MH_ASSIGN_OR_RETURN(auto params, GetSnapshotParams(info.name, s));
       MH_RETURN_IF_ERROR(
-          builder.AddSnapshot(SnapshotKey(info.name, s), params));
+          builder.AddSnapshot(SnapshotKey(info.name, s), std::move(params)));
       all.push_back({info.name, s});
       if (s > 0) {
         MH_RETURN_IF_ERROR(

@@ -177,18 +177,8 @@ Result<std::vector<std::string>> ReadArchiveManifestFiles(
 ArchiveBuilder::ArchiveBuilder(Env* env, std::string dir)
     : env_(env), dir_(std::move(dir)) {}
 
-int ArchiveBuilder::FindMatrix(const std::string& snapshot,
-                               const std::string& param) const {
-  for (size_t i = 0; i < matrices_.size(); ++i) {
-    if (matrices_[i].snapshot == snapshot && matrices_[i].param == param) {
-      return static_cast<int>(i);
-    }
-  }
-  return -1;
-}
-
 Status ArchiveBuilder::AddSnapshot(const std::string& name,
-                                   const std::vector<NamedParam>& params) {
+                                   std::vector<NamedParam> params) {
   if (params.empty()) {
     return Status::InvalidArgument("snapshot has no parameters: " + name);
   }
@@ -197,20 +187,18 @@ Status ArchiveBuilder::AddSnapshot(const std::string& name,
       return Status::AlreadyExists("duplicate snapshot: " + name);
     }
   }
-  std::vector<int> members;
+  std::set<std::string> param_names;
   for (const auto& param : params) {
     if (param.value.empty()) {
       return Status::InvalidArgument("empty matrix: " + param.name);
     }
-    if (FindMatrix(name, param.name) >= 0) {
+    if (!param_names.insert(param.name).second) {
       return Status::AlreadyExists("duplicate parameter " + param.name +
                                    " in snapshot " + name);
     }
-    members.push_back(static_cast<int>(matrices_.size()));
-    matrices_.push_back(MatrixEntry{name, param.name, param.value});
   }
   snapshot_names_.push_back(name);
-  snapshot_members_.push_back(std::move(members));
+  snapshot_params_.push_back(std::move(params));
   return Status::OK();
 }
 
@@ -235,7 +223,7 @@ Result<MatrixStorageGraph> BuildMatrixStorageGraph(
     const std::vector<SnapshotSpec>& snapshots,
     const std::vector<std::pair<int, int>>& candidate_pairs,
     const ArchiveOptions& options, ThreadPool* pool,
-    const std::vector<MatrixPairCandidate>& matrix_pairs,
+    const std::vector<std::pair<int, int>>& vertex_pairs,
     int* first_similarity_edge) {
   if (first_similarity_edge != nullptr) *first_similarity_edge = -1;
   const CodecType codec = options.codec;
@@ -256,36 +244,10 @@ Result<MatrixStorageGraph> BuildMatrixStorageGraph(
     return Status::OK();
   };
 
-  // The cost model (a trial delta + four plane compressions per edge) is
-  // the expensive part of graph assembly and is a pure function of the
-  // matrices, so it fans out over `pool` into pre-sized slots; everything
-  // that shapes the graph — vertex ids, edge order, groups — is done
-  // serially afterwards in the original candidate order, so the graph is
-  // byte-for-byte independent of the pool.
-  struct EdgeCost {
-    double cs = 0.0;
-    double raw = 0.0;
-    Status status = Status::OK();
-  };
-
-  // Vertex ids in (snapshot, param) order.
-  std::vector<std::vector<int>> vertex_of(snapshots.size());
-  std::vector<const FloatMatrix*> matrix_of_vertex;  // [0] = v0 (unused).
-  matrix_of_vertex.push_back(nullptr);
-  for (size_t s = 0; s < snapshots.size(); ++s) {
-    if (snapshots[s].params == nullptr || snapshots[s].params->empty()) {
-      return Status::InvalidArgument("snapshot without parameters: " +
-                                     snapshots[s].name);
-    }
-    for (const NamedParam& param : *snapshots[s].params) {
-      const int v = graph.AddVertex(snapshots[s].name + "/" + param.name);
-      vertex_of[s].push_back(v);
-      matrix_of_vertex.push_back(&param.value);
-    }
-  }
-
-  // Resolve candidate pairs into concrete delta edges (serial: cheap name
-  // and shape matching only).
+  // Every edge of the graph, in edge order: one materialization edge (from
+  // v0, no base) per vertex, then lineage deltas, then similarity deltas.
+  // Everything that shapes the graph — vertex ids, edge order, groups — is
+  // decided serially here; only the cost model below fans out.
   struct CandidateEdge {
     int u = 0;
     int v = 0;
@@ -294,6 +256,25 @@ Result<MatrixStorageGraph> BuildMatrixStorageGraph(
     DeltaKind kind = DeltaKind::kMaterialized;
   };
   std::vector<CandidateEdge> candidates;
+
+  // Vertex ids in (snapshot, param) order; candidates[v - 1] is vertex v's
+  // materialization edge, so its target is the matrix v holds.
+  std::vector<std::vector<int>> vertex_of(snapshots.size());
+  for (size_t s = 0; s < snapshots.size(); ++s) {
+    if (snapshots[s].params == nullptr || snapshots[s].params->empty()) {
+      return Status::InvalidArgument("snapshot without parameters: " +
+                                     snapshots[s].name);
+    }
+    for (const NamedParam& param : *snapshots[s].params) {
+      const int v = graph.AddVertex(snapshots[s].name + "/" + param.name);
+      vertex_of[s].push_back(v);
+      candidates.push_back(CandidateEdge{0, v, nullptr, &param.value});
+    }
+  }
+  const int num_matrices = static_cast<int>(candidates.size());
+
+  // Resolve candidate pairs into concrete delta edges (cheap name and
+  // shape matching only).
   for (const auto& [from_snap, to_snap] : candidate_pairs) {
     if (from_snap < 0 || to_snap < 0 ||
         from_snap >= static_cast<int>(snapshots.size()) ||
@@ -328,35 +309,19 @@ Result<MatrixStorageGraph> BuildMatrixStorageGraph(
   // their edge ids form one contiguous trailing range — the builder uses
   // that boundary to count how many plan parents similarity contributed.
   const size_t first_similarity_candidate = candidates.size();
-  if (!matrix_pairs.empty()) {
-    std::map<std::pair<std::string, std::string>, int> vertex_by_name;
-    std::map<int, const FloatMatrix*> matrix_by_vertex;
-    for (size_t s = 0; s < snapshots.size(); ++s) {
-      const auto& params = *snapshots[s].params;
-      for (size_t pi = 0; pi < params.size(); ++pi) {
-        const int v = vertex_of[s][pi];
-        vertex_by_name.emplace(
-            std::make_pair(snapshots[s].name, params[pi].name), v);
-        matrix_by_vertex.emplace(v, &params[pi].value);
-      }
-    }
+  if (!vertex_pairs.empty()) {
     std::set<std::pair<int, int>> existing;
     for (const CandidateEdge& cand : candidates) {
       existing.emplace(std::min(cand.u, cand.v), std::max(cand.u, cand.v));
     }
-    for (const MatrixPairCandidate& pair : matrix_pairs) {
-      const auto from_it = vertex_by_name.find(
-          std::make_pair(pair.from_snapshot, pair.from_param));
-      const auto to_it =
-          vertex_by_name.find(std::make_pair(pair.to_snapshot, pair.to_param));
-      if (from_it == vertex_by_name.end() || to_it == vertex_by_name.end()) {
-        return Status::InvalidArgument("matrix pair names unknown matrix");
+    for (const auto& [u, v] : vertex_pairs) {
+      if (u < 1 || v < 1 || u > num_matrices || v > num_matrices) {
+        return Status::InvalidArgument("vertex pair out of range");
       }
-      const int u = from_it->second;
-      const int v = to_it->second;
       if (u == v) continue;
-      const FloatMatrix& base = *matrix_by_vertex.at(u);
-      const FloatMatrix& target = *matrix_by_vertex.at(v);
+      const FloatMatrix& base = *candidates[static_cast<size_t>(u) - 1].target;
+      const FloatMatrix& target =
+          *candidates[static_cast<size_t>(v) - 1].target;
       // Similarity pairing only proposes equal shapes; a materialized
       // "delta" would just re-store the target, so it contributes nothing.
       if (base.rows() != target.rows() || base.cols() != target.cols() ||
@@ -370,53 +335,36 @@ Result<MatrixStorageGraph> BuildMatrixStorageGraph(
     }
   }
 
-  // Cost model: materialization edges per vertex + delta edges per
-  // candidate, each slot independent.
-  std::vector<EdgeCost> vertex_costs(matrix_of_vertex.size());
-  std::vector<EdgeCost> candidate_costs(candidates.size());
-  auto vertex_cost_task = [&](size_t v) {
-    const FloatMatrix& m = *matrix_of_vertex[v];
-    vertex_costs[v].cs = SegmentedCompressedSize(m, codec);
-    vertex_costs[v].raw = static_cast<double>(m.size()) * 4;
+  // The cost model (a trial delta + four plane compressions per edge) is
+  // the expensive part of graph assembly and a pure function of the
+  // matrices, so it fans out over `pool` into pre-sized slots.
+  struct EdgeCost {
+    double cs = 0.0;
+    double raw = 0.0;
+    Status status = Status::OK();
   };
-  auto candidate_cost_task = [&](size_t c) {
+  std::vector<EdgeCost> costs(candidates.size());
+  ParallelFor(pool, candidates.size(), [&](size_t c) {
     const CandidateEdge& cand = candidates[c];
-    auto delta = ComputeDelta(*cand.target, *cand.base, cand.kind);
-    if (!delta.ok()) {
-      candidate_costs[c].status = delta.status();
+    if (cand.base == nullptr) {
+      costs[c].cs = SegmentedCompressedSize(*cand.target, codec);
+      costs[c].raw = static_cast<double>(cand.target->size()) * 4;
       return;
     }
-    candidate_costs[c].cs = SegmentedCompressedSize(*delta, codec);
-    candidate_costs[c].raw = static_cast<double>(delta->size()) * 4;
-  };
-  if (pool != nullptr) {
-    WaitGroup done;
-    for (size_t v = 1; v < matrix_of_vertex.size(); ++v) {
-      pool->Schedule(&done, [&vertex_cost_task, v] { vertex_cost_task(v); });
+    auto delta = ComputeDelta(*cand.target, *cand.base, cand.kind);
+    if (!delta.ok()) {
+      costs[c].status = delta.status();
+      return;
     }
-    for (size_t c = 0; c < candidates.size(); ++c) {
-      pool->Schedule(&done,
-                     [&candidate_cost_task, c] { candidate_cost_task(c); });
-    }
-    done.Wait();
-  } else {
-    for (size_t v = 1; v < matrix_of_vertex.size(); ++v) vertex_cost_task(v);
-    for (size_t c = 0; c < candidates.size(); ++c) candidate_cost_task(c);
-  }
+    costs[c].cs = SegmentedCompressedSize(*delta, codec);
+    costs[c].raw = static_cast<double>(delta->size()) * 4;
+  });
 
-  // Assemble edges serially, in the original order: all materialization
-  // edges in vertex order, then delta edges in candidate order.
-  for (size_t v = 1; v < matrix_of_vertex.size(); ++v) {
-    const EdgeCost& cost = vertex_costs[v];
-    MH_RETURN_IF_ERROR(add_tiered_edge(
-        0, static_cast<int>(v), cost.cs,
-        cost.cs + options.recreation_raw_weight * cost.raw));
-  }
+  // Assemble edges serially, in candidate order.
   for (size_t c = 0; c < candidates.size(); ++c) {
-    const EdgeCost& cost = candidate_costs[c];
+    const EdgeCost& cost = costs[c];
     MH_RETURN_IF_ERROR(cost.status);
-    if (first_similarity_edge != nullptr && c == first_similarity_candidate &&
-        c < candidates.size()) {
+    if (first_similarity_edge != nullptr && c == first_similarity_candidate) {
       *first_similarity_edge = static_cast<int>(graph.edges().size());
     }
     MH_RETURN_IF_ERROR(add_tiered_edge(
@@ -433,65 +381,55 @@ Result<MatrixStorageGraph> BuildMatrixStorageGraph(
 Result<ArchiveBuildReport> ArchiveBuilder::Build(
     const ArchiveOptions& options) {
   if (built_) return Status::FailedPrecondition("Build called twice");
-  if (matrices_.empty()) {
+  if (snapshot_params_.empty()) {
     return Status::FailedPrecondition("no snapshots added");
   }
   built_ = true;
+  // Vertex v of the storage graph holds values[v - 1]: every matrix in
+  // (snapshot, param) order, the numbering BuildMatrixStorageGraph uses.
+  std::vector<FloatMatrix*> values;
+  for (auto& params : snapshot_params_) {
+    for (NamedParam& param : params) values.push_back(&param.value);
+  }
   TraceSpan build_span("pas.archive.build");
   build_span.Annotate("snapshots",
                       static_cast<uint64_t>(snapshot_names_.size()));
-  build_span.Annotate("matrices", static_cast<uint64_t>(matrices_.size()));
+  build_span.Annotate("matrices", static_cast<uint64_t>(values.size()));
   Stopwatch build_watch;
   MH_COUNTER("pas.archive.build.count")->Increment();
 
-  // One pool serves every parallel stage of the build; null means serial
-  // (threads == 1), which is also the reference the differential tests
-  // compare parallel builds against, byte for byte.
+  // One pool serves every parallel phase of the build; with threads == 1
+  // there is none, and each ParallelFor runs inline.
   const int threads = ResolveArchiveThreads(options.archive_threads);
   std::unique_ptr<ThreadPool> pool;
   if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
   build_span.Annotate("threads", static_cast<uint64_t>(threads));
 
   // --- Optional lossy storage scheme: round every matrix through the
-  // chosen representation once, up front. The archive then stores (and
-  // later returns) the scheme's values; quantized matrices have few
-  // distinct floats and compress far better. Rounding is independent per
-  // matrix for every scheme except kQuantRandom, whose codebook sampling
-  // consumes a shared Rng stream in matrix order — that one stays serial
-  // so the stream (and thus the archive) is identical at any thread count.
+  // chosen representation once, up front, in place. The archive then
+  // stores (and later returns) the scheme's values; quantized matrices
+  // have few distinct floats and compress far better. Rounding is
+  // independent per matrix for every scheme except kQuantRandom, whose
+  // codebook sampling consumes a shared Rng stream in matrix order — that
+  // one runs inline so the stream (and thus the archive) is identical at
+  // any thread count.
   if (options.storage_scheme.kind != FloatSchemeKind::kFloat32) {
     TraceSpan scheme_span("pas.archive.scheme");
-    if (pool != nullptr &&
-        options.storage_scheme.kind != FloatSchemeKind::kQuantRandom) {
-      std::vector<Status> statuses(matrices_.size());
-      WaitGroup done;
-      for (size_t i = 0; i < matrices_.size(); ++i) {
-        pool->Schedule(&done, [this, &options, &statuses, i] {
-          auto encoded =
-              EncodeMatrix(matrices_[i].value, options.storage_scheme);
-          if (!encoded.ok()) {
-            statuses[i] = encoded.status();
-            return;
-          }
-          auto decoded = DecodeMatrix(*encoded);
-          if (!decoded.ok()) {
-            statuses[i] = decoded.status();
-            return;
-          }
-          matrices_[i].value = std::move(*decoded);
-        });
-      }
-      done.Wait();
-      for (const Status& status : statuses) MH_RETURN_IF_ERROR(status);
-    } else {
-      Rng scheme_rng(options.scheme_seed);
-      for (auto& entry : matrices_) {
-        MH_ASSIGN_OR_RETURN(
-            EncodedMatrix encoded,
-            EncodeMatrix(entry.value, options.storage_scheme, &scheme_rng));
-        MH_ASSIGN_OR_RETURN(entry.value, DecodeMatrix(encoded));
-      }
-    }
+    const bool random =
+        options.storage_scheme.kind == FloatSchemeKind::kQuantRandom;
+    Rng scheme_rng(options.scheme_seed);
+    auto round_matrix = [&](size_t i) -> Status {
+      MH_ASSIGN_OR_RETURN(
+          const EncodedMatrix encoded,
+          EncodeMatrix(*values[i], options.storage_scheme,
+                       random ? &scheme_rng : nullptr));
+      MH_ASSIGN_OR_RETURN(*values[i], DecodeMatrix(encoded));
+      return Status::OK();
+    };
+    std::vector<Status> statuses(values.size());
+    ParallelFor(random ? nullptr : pool.get(), values.size(),
+                [&](size_t i) { statuses[i] = round_matrix(i); });
+    for (const Status& status : statuses) MH_RETURN_IF_ERROR(status);
   }
 
   // --- Similarity-based delta pairing (DESIGN.md §15): sketch every
@@ -500,63 +438,33 @@ Result<ArchiveBuildReport> ArchiveBuilder::Build(
   // only become candidate edges; the solver still measures them against
   // lineage and materialization, so a bad pairing costs nothing but the
   // trial delta.
-  std::vector<MatrixPairCandidate> similarity_pairs;
-  if (options.enable_similarity_pairing && matrices_.size() > 1) {
+  std::vector<std::pair<int, int>> similarity_pairs;  // Vertex ids.
+  if (options.enable_similarity_pairing && values.size() > 1) {
     TraceSpan sketch_span("pas.archive.sketch");
-    std::vector<ParamSketch> sketches(matrices_.size());
-    auto sketch_task = [this, &sketches](size_t i) {
-      sketches[i] = ComputeParamSketch(matrices_[i].value);
-    };
-    if (pool != nullptr) {
-      WaitGroup done;
-      for (size_t i = 0; i < matrices_.size(); ++i) {
-        pool->Schedule(&done, [&sketch_task, i] { sketch_task(i); });
-      }
-      done.Wait();
-    } else {
-      for (size_t i = 0; i < matrices_.size(); ++i) sketch_task(i);
-    }
+    std::vector<ParamSketch> sketches(values.size());
+    ParallelFor(pool.get(), values.size(), [&](size_t i) {
+      sketches[i] = ComputeParamSketch(*values[i]);
+    });
     for (const SketchPairing& pairing :
          SimilarDeltaPairs(sketches, options.similarity_fanout,
                            options.similarity_threshold)) {
-      const MatrixEntry& from = matrices_[static_cast<size_t>(pairing.from)];
-      const MatrixEntry& to = matrices_[static_cast<size_t>(pairing.to)];
-      similarity_pairs.push_back(
-          MatrixPairCandidate{from.snapshot, from.param, to.snapshot,
-                              to.param});
+      similarity_pairs.emplace_back(pairing.from + 1, pairing.to + 1);
     }
     sketch_span.Annotate("pairs",
                          static_cast<uint64_t>(similarity_pairs.size()));
   }
 
-  // --- Assemble the matrix storage graph (Definition 1) via the shared
-  // builder. Vertex ids follow matrices_ order because snapshots were
-  // registered in (snapshot, param) order.
-  std::vector<std::vector<NamedParam>> param_lists(snapshot_names_.size());
-  for (size_t s = 0; s < snapshot_names_.size(); ++s) {
-    for (int idx : snapshot_members_[s]) {
-      param_lists[s].push_back({matrices_[static_cast<size_t>(idx)].param,
-                                matrices_[static_cast<size_t>(idx)].value});
-    }
-  }
+  // --- Assemble the matrix storage graph (Definition 1) over views of the
+  // builder's own parameter vectors.
   std::vector<SnapshotSpec> specs;
   for (size_t s = 0; s < snapshot_names_.size(); ++s) {
-    specs.push_back({snapshot_names_[s], &param_lists[s]});
+    specs.push_back({snapshot_names_[s], &snapshot_params_[s]});
   }
   int first_similarity_edge = -1;
   MH_ASSIGN_OR_RETURN(
       MatrixStorageGraph graph,
       BuildMatrixStorageGraph(specs, candidate_pairs_, options, pool.get(),
                               similarity_pairs, &first_similarity_edge));
-  std::vector<int> vertex_of_matrix(matrices_.size());
-  {
-    int next = 1;
-    for (size_t s = 0; s < snapshot_names_.size(); ++s) {
-      for (int idx : snapshot_members_[s]) {
-        vertex_of_matrix[static_cast<size_t>(idx)] = next++;
-      }
-    }
-  }
 
   // --- Budgets relative to the SPT (the alpha knob of Fig 6(c)).
   MH_ASSIGN_OR_RETURN(StoragePlan spt, SolveSpt(graph));
@@ -626,36 +534,23 @@ Result<ArchiveBuildReport> ArchiveBuilder::Build(
   // over the pool inside ParallelArchiver::Run; the committer appends
   // chunks in job (= matrix) order, so chunk ids — and the archive bytes —
   // are identical for every thread count.
-  std::vector<ParallelArchiver::Job> jobs(matrices_.size());
-  std::vector<DeltaKind> kinds(matrices_.size());
-  std::vector<int> parents(matrices_.size());
-  std::vector<int> tiers_of(matrices_.size());
-  for (size_t i = 0; i < matrices_.size(); ++i) {
-    const int v = vertex_of_matrix[i];
+  std::vector<ParallelArchiver::Job> jobs(values.size());
+  std::vector<int> tiers(values.size());
+  for (size_t i = 0; i < values.size(); ++i) {
+    const int v = static_cast<int>(i) + 1;
     const int parent = plan.Parent(v);
-    DeltaKind kind = DeltaKind::kMaterialized;
     ParallelArchiver::Job& job = jobs[i];
-    job.target = &matrices_[i].value;
+    job.target = values[i];
     if (parent != 0) {
-      // Find which matrix the parent vertex holds.
-      const size_t parent_idx = static_cast<size_t>(
-          std::find(vertex_of_matrix.begin(), vertex_of_matrix.end(),
-                    parent) -
-          vertex_of_matrix.begin());
-      const bool same_shape =
-          matrices_[parent_idx].value.rows() == matrices_[i].value.rows() &&
-          matrices_[parent_idx].value.cols() == matrices_[i].value.cols();
-      kind = same_shape ? options.delta_kind
-                        : ToAdaptive(options.delta_kind);
-      job.base = &matrices_[parent_idx].value;
+      job.base = values[static_cast<size_t>(parent) - 1];
+      const bool same_shape = job.base->rows() == job.target->rows() &&
+                              job.base->cols() == job.target->cols();
+      job.delta_kind =
+          same_shape ? options.delta_kind : ToAdaptive(options.delta_kind);
     }
-    const int tier = graph.edge(plan.ParentEdge(v)).tier;
-    job.delta_kind = kind;
-    job.destination = tier == 1 ? &remote_chunks : &chunks;
-    if (tier == 1) ++remote_payloads;
-    kinds[i] = kind;
-    parents[i] = parent;
-    tiers_of[i] = tier;
+    tiers[i] = graph.edge(plan.ParentEdge(v)).tier;
+    job.destination = tiers[i] == 1 ? &remote_chunks : &chunks;
+    if (tiers[i] == 1) ++remote_payloads;
   }
   // --- Cross-generation dedup context (DESIGN.md §15): the committed
   // generation's chunk index maps content hash -> (file, chunk id), so
@@ -726,31 +621,33 @@ Result<ArchiveBuildReport> ArchiveBuilder::Build(
     }
   }
   std::string manifest;  // Body; the generation header is prepended below.
-  PutVarint64(&manifest, matrices_.size());
-  for (size_t i = 0; i < matrices_.size(); ++i) {
-    PutLengthPrefixed(&manifest, Slice(matrices_[i].snapshot));
-    PutLengthPrefixed(&manifest, Slice(matrices_[i].param));
-    PutVarint64(&manifest, static_cast<uint64_t>(matrices_[i].value.rows()));
-    PutVarint64(&manifest, static_cast<uint64_t>(matrices_[i].value.cols()));
-    manifest.push_back(static_cast<char>(kinds[i]));
-    manifest.push_back(static_cast<char>(tiers_of[i]));
-    PutVarint64(&manifest, static_cast<uint64_t>(parents[i]));
-    for (int p = 0; p < kNumPlanes; ++p) {
-      const int32_t pf = placements[i].prior_file[p];
-      const int slot = pf >= 0 ? slot_of_prior[static_cast<size_t>(pf)]
-                               : tiers_of[i];
-      PutVarint64(&manifest, static_cast<uint64_t>(slot));
-      PutVarint64(&manifest, placements[i].chunk_ids[p]);
+  PutVarint64(&manifest, values.size());
+  for (size_t s = 0, i = 0; s < snapshot_names_.size(); ++s) {
+    for (const NamedParam& param : snapshot_params_[s]) {
+      PutLengthPrefixed(&manifest, Slice(snapshot_names_[s]));
+      PutLengthPrefixed(&manifest, Slice(param.name));
+      PutVarint64(&manifest, static_cast<uint64_t>(param.value.rows()));
+      PutVarint64(&manifest, static_cast<uint64_t>(param.value.cols()));
+      manifest.push_back(static_cast<char>(jobs[i].delta_kind));
+      manifest.push_back(static_cast<char>(tiers[i]));
+      PutVarint64(&manifest,
+                  static_cast<uint64_t>(plan.Parent(static_cast<int>(i) + 1)));
+      for (int p = 0; p < kNumPlanes; ++p) {
+        const int32_t pf = placements[i].prior_file[p];
+        const int slot =
+            pf >= 0 ? slot_of_prior[static_cast<size_t>(pf)] : tiers[i];
+        PutVarint64(&manifest, static_cast<uint64_t>(slot));
+        PutVarint64(&manifest, placements[i].chunk_ids[p]);
+      }
+      ++i;
     }
   }
   PutVarint64(&manifest, snapshot_names_.size());
-  for (size_t s = 0; s < snapshot_names_.size(); ++s) {
+  for (size_t s = 0, v = 1; s < snapshot_names_.size(); ++s) {
     PutLengthPrefixed(&manifest, Slice(snapshot_names_[s]));
-    PutVarint64(&manifest, snapshot_members_[s].size());
-    for (int idx : snapshot_members_[s]) {
-      PutVarint64(&manifest,
-                  static_cast<uint64_t>(vertex_of_matrix[
-                      static_cast<size_t>(idx)]));
+    PutVarint64(&manifest, snapshot_params_[s].size());
+    for (size_t p = 0; p < snapshot_params_[s].size(); ++p) {
+      PutVarint64(&manifest, v++);
     }
   }
   // --- Publish: data files first (each written atomically), then the
@@ -792,7 +689,7 @@ Result<ArchiveBuildReport> ArchiveBuilder::Build(
                            dedup_ctx.prior_files[static_cast<size_t>(pf)], id,
                            stored);
         } else {
-          const bool is_remote = tiers_of[i] == 1;
+          const bool is_remote = tiers[i] == 1;
           const ChunkStoreWriter& writer = is_remote ? remote_chunks : chunks;
           new_index.AddRef(placements[i].plane_hash[p],
                            is_remote ? remote_name : chunks_name, id,

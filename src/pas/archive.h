@@ -63,9 +63,10 @@ struct ArchiveOptions {
   double remote_storage_discount = 0.5;
   double remote_read_penalty = 4.0;
   /// Encode workers for the archival write pipeline. >= 1 is literal
-  /// (1 = the serial reference path), anything else means auto
-  /// (ResolveArchiveThreads). The archive bytes are identical for every
-  /// value — parallelism only changes wall time.
+  /// (1 = the same pipeline on one worker, with the build's other phases
+  /// inline), anything else means auto (ResolveArchiveThreads). The
+  /// archive bytes are identical for every value — parallelism only
+  /// changes wall time.
   int archive_threads = 0;
   /// Rows per delta+segment tile in the write pipeline. >= 1 is literal,
   /// anything else means auto (ResolveTileRows: ~64 KiB of floats per
@@ -129,16 +130,6 @@ struct SnapshotSpec {
   const std::vector<NamedParam>* params = nullptr;
 };
 
-/// A matrix-level delta-parent candidate (similarity pairing's output):
-/// `to` considers `from` as a delta base. Both must name registered
-/// (snapshot, param) matrices of equal shape.
-struct MatrixPairCandidate {
-  std::string from_snapshot;
-  std::string from_param;
-  std::string to_snapshot;
-  std::string to_param;
-};
-
 /// Constructs the matrix storage graph (Definition 1) for a set of
 /// snapshots: vertex ids are assigned 1..N in (snapshot, param) order;
 /// every matrix gets a materialization edge from v0, every candidate pair
@@ -151,11 +142,18 @@ struct MatrixPairCandidate {
 /// the per-edge cost model (trial delta + compression per candidate edge)
 /// is evaluated on it; edges are still added in deterministic candidate
 /// order, so the graph is identical with or without a pool.
+///
+/// `vertex_pairs` are matrix-level delta-parent candidates (similarity
+/// pairing's output) as (from, to) vertex ids: `to` considers `from` as a
+/// delta base. Their edges follow the lineage edges, starting at
+/// `*first_similarity_edge` (-1 when none is added); pairs of unequal
+/// shape, self pairs and pairs lineage already covers add nothing. An id
+/// outside 1..N is InvalidArgument.
 Result<MatrixStorageGraph> BuildMatrixStorageGraph(
     const std::vector<SnapshotSpec>& snapshots,
     const std::vector<std::pair<int, int>>& candidate_pairs,
     const ArchiveOptions& options, ThreadPool* pool = nullptr,
-    const std::vector<MatrixPairCandidate>& matrix_pairs = {},
+    const std::vector<std::pair<int, int>>& vertex_pairs = {},
     int* first_similarity_edge = nullptr);
 
 /// Generation number the committed manifest names, without opening the
@@ -198,8 +196,10 @@ class ArchiveBuilder {
 
   /// Registers a snapshot (its matrices become one co-usage group).
   /// Snapshot names must be unique; parameter names unique per snapshot.
-  Status AddSnapshot(const std::string& name,
-                     const std::vector<NamedParam>& params);
+  /// `params` becomes the builder's only copy of the matrices (move it in
+  /// to avoid one); a lossy storage scheme rounds it in place at Build. A
+  /// rejected snapshot registers nothing.
+  Status AddSnapshot(const std::string& name, std::vector<NamedParam> params);
 
   /// Marks `from` -> `to` as a delta candidate pair: every parameter
   /// appearing in both with equal shape gets a candidate delta edge.
@@ -207,23 +207,15 @@ class ArchiveBuilder {
   Status AddDeltaCandidate(const std::string& from_snapshot,
                            const std::string& to_snapshot);
 
-  /// Solves the archival problem and writes the archive.
+  /// Solves the archival problem and writes the archive. Storage-graph
+  /// vertex v holds the (v-1)-th matrix in (snapshot, param) order.
   Result<ArchiveBuildReport> Build(const ArchiveOptions& options);
 
  private:
-  struct MatrixEntry {
-    std::string snapshot;
-    std::string param;
-    FloatMatrix value;
-  };
-
-  int FindMatrix(const std::string& snapshot, const std::string& param) const;
-
   Env* env_;
   std::string dir_;
-  std::vector<MatrixEntry> matrices_;
   std::vector<std::string> snapshot_names_;
-  std::vector<std::vector<int>> snapshot_members_;  // Indices into matrices_.
+  std::vector<std::vector<NamedParam>> snapshot_params_;  // Per snapshot.
   std::vector<std::pair<int, int>> candidate_pairs_;  // Snapshot index pairs.
   bool built_ = false;
 };

@@ -192,56 +192,10 @@ Result<std::string> ChunkStoreReader::Get(uint32_t id,
   MH_COUNTER("pas.chunk.cache.miss")->Increment();
   const auto fetch_start = std::chrono::steady_clock::now();
   const ChunkRef& ref = refs_[id];
+  std::string scratch;
+  MH_ASSIGN_OR_RETURN(const Slice stored, ReadStored(id, &scratch));
   std::string raw;
-  bool fetched = false;
-  if (mapping_ != nullptr) {
-    // Zero-copy fast path: checksum and decompress straight out of the
-    // mapping. Open validated every ref against the mapped size, so the
-    // view is in bounds. A CRC mismatch here falls through to the
-    // ranged-read path below, whose retry distinguishes a transient
-    // fault from persistent corruption.
-    const Slice view(mapping_->data() + ref.offset,
-                     static_cast<size_t>(ref.stored_size));
-    if (Crc32(view) == ref.crc) {
-      MH_RETURN_IF_ERROR(Codec::Get(ref.codec)->Decompress(view, &raw));
-      MH_COUNTER("pas.chunk.read.mmap")->Increment();
-      fetched = true;
-    } else {
-      MH_COUNTER("pas.chunk.mmap.fallback")->Increment();
-    }
-  }
-  if (!fetched) {
-    // One retry distinguishes a transient read fault from real on-disk
-    // corruption: a bad sector or torn page read may succeed the second
-    // time, a corrupted payload fails both.
-    std::string compressed;
-    Status read_status = Status::OK();
-    for (int attempt = 0; attempt < 2; ++attempt) {
-      if (attempt > 0) MH_COUNTER("pas.chunk.read.retry")->Increment();
-      auto bytes = env_->ReadFileRange(path_, ref.offset, ref.stored_size);
-      if (!bytes.ok()) {
-        read_status = bytes.status();
-        continue;
-      }
-      if (bytes->size() != ref.stored_size) {
-        read_status = Status::Corruption("short chunk read");
-        continue;
-      }
-      if (Crc32(Slice(*bytes)) != ref.crc) {
-        read_status = Status::Corruption("chunk checksum mismatch");
-        continue;
-      }
-      compressed = std::move(*bytes);
-      read_status = Status::OK();
-      break;
-    }
-    if (!read_status.ok()) {
-      MH_COUNTER("pas.chunk.read.error")->Increment();
-      return read_status;
-    }
-    MH_RETURN_IF_ERROR(
-        Codec::Get(ref.codec)->Decompress(Slice(compressed), &raw));
-  }
+  MH_RETURN_IF_ERROR(Codec::Get(ref.codec)->Decompress(stored, &raw));
   if (raw.size() != ref.raw_size) {
     return Status::Corruption("chunk raw size mismatch");
   }
@@ -288,66 +242,58 @@ Result<std::string> ChunkStoreReader::Get(uint32_t id,
 }
 
 Result<std::string> ChunkStoreReader::GetCompressed(uint32_t id) const {
-  if (id >= refs_.size()) {
-    return Status::InvalidArgument("chunk id out of range");
-  }
-  const ChunkRef& ref = refs_[id];
-  if (mapping_ != nullptr) {
-    const Slice view(mapping_->data() + ref.offset,
-                     static_cast<size_t>(ref.stored_size));
-    if (Crc32(view) == ref.crc) return view.ToString();
-    // Fall through to the ranged read, whose retry distinguishes a
-    // transient fault from persistent corruption.
-  }
-  std::string compressed;
-  Status read_status = Status::OK();
-  for (int attempt = 0; attempt < 2; ++attempt) {
-    auto bytes = env_->ReadFileRange(path_, ref.offset, ref.stored_size);
-    if (!bytes.ok()) {
-      read_status = bytes.status();
-      continue;
-    }
-    if (bytes->size() != ref.stored_size) {
-      read_status = Status::Corruption("short chunk read");
-      continue;
-    }
-    if (Crc32(Slice(*bytes)) != ref.crc) {
-      read_status = Status::Corruption("chunk checksum mismatch");
-      continue;
-    }
-    compressed = std::move(*bytes);
-    read_status = Status::OK();
-    break;
-  }
-  if (!read_status.ok()) return read_status;
-  return compressed;
+  std::string scratch;
+  MH_ASSIGN_OR_RETURN(const Slice stored, ReadStored(id, &scratch));
+  return scratch.empty() ? stored.ToString() : std::move(scratch);
 }
 
 Status ChunkStoreReader::Verify(uint32_t id) const {
+  std::string scratch;
+  return ReadStored(id, &scratch).status();
+}
+
+Result<Slice> ChunkStoreReader::ReadStored(uint32_t id,
+                                           std::string* scratch) const {
   if (id >= refs_.size()) {
     return Status::InvalidArgument("chunk id out of range");
   }
   const ChunkRef& ref = refs_[id];
   if (mapping_ != nullptr) {
-    // fsck over a mapped store is a pure checksum sweep of the page
-    // cache — no per-chunk allocation or copy.
+    // Zero-copy fast path: Open validated every ref against the mapped
+    // size, so the view is in bounds. A CRC mismatch here falls through to
+    // the ranged read below.
     const Slice view(mapping_->data() + ref.offset,
                      static_cast<size_t>(ref.stored_size));
-    if (Crc32(view) == ref.crc) return Status::OK();
-    // Fall through and re-read: a transient fault should not fail fsck.
+    if (Crc32(view) == ref.crc) {
+      MH_COUNTER("pas.chunk.read.mmap")->Increment();
+      return view;
+    }
+    MH_COUNTER("pas.chunk.mmap.fallback")->Increment();
   }
-  MH_ASSIGN_OR_RETURN(
-      std::string compressed,
-      env_->ReadFileRange(path_, ref.offset, ref.stored_size));
-  if (compressed.size() != ref.stored_size) {
-    return Status::Corruption("short chunk read: " + path_ + " chunk " +
+  // One retry distinguishes a transient read fault from real on-disk
+  // corruption: a bad sector or torn page read may succeed the second
+  // time, a corrupted payload fails both.
+  auto corruption = [&](const char* what) {
+    return Status::Corruption(std::string(what) + ": " + path_ + " chunk " +
                               std::to_string(id));
+  };
+  Status status = Status::OK();
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    if (attempt > 0) MH_COUNTER("pas.chunk.read.retry")->Increment();
+    auto bytes = env_->ReadFileRange(path_, ref.offset, ref.stored_size);
+    if (!bytes.ok()) {
+      status = bytes.status();
+    } else if (bytes->size() != ref.stored_size) {
+      status = corruption("short chunk read");
+    } else if (Crc32(Slice(*bytes)) != ref.crc) {
+      status = corruption("chunk checksum mismatch");
+    } else {
+      *scratch = std::move(*bytes);
+      return Slice(*scratch);
+    }
   }
-  if (Crc32(Slice(compressed)) != ref.crc) {
-    return Status::Corruption("chunk checksum mismatch: " + path_ +
-                              " chunk " + std::to_string(id));
-  }
-  return Status::OK();
+  MH_COUNTER("pas.chunk.read.error")->Increment();
+  return status;
 }
 
 }  // namespace modelhub

@@ -126,7 +126,8 @@ class ChunkStoreReader {
   Result<std::string> Get(uint32_t id, ChunkStoreStats* call = nullptr) const;
 
   /// Integrity check of chunk `id` without decompression: re-reads the
-  /// payload and verifies its CRC. Used by `dlv fsck`.
+  /// payload and verifies its CRC, retrying a failed ranged read once like
+  /// Get. Used by `dlv fsck`.
   Status Verify(uint32_t id) const;
 
   /// Fetches and CRC-verifies the *compressed* payload of chunk `id`
@@ -181,6 +182,13 @@ class ChunkStoreReader {
   /// Evicts least-recently-used entries until the bound holds and
   /// returns how many it evicted. Caller must hold *mutex_.
   uint64_t EvictToCapacityLocked() const;
+
+  /// The one verified read of chunk `id`'s stored (compressed) payload,
+  /// behind Get, GetCompressed and Verify: the mapped view when its CRC
+  /// holds, else a ranged read into `*scratch`, retried once so a
+  /// transient fault is told apart from corruption. Counts every read
+  /// under pas.chunk.{read.mmap,mmap.fallback,read.retry,read.error}.
+  Result<Slice> ReadStored(uint32_t id, std::string* scratch) const;
 
   /// Atomic mirror of ChunkStoreStats. Held via pointer (atomics are not
   /// movable) so the reader stays movable, like mutex_ below.

@@ -55,12 +55,13 @@ class GenerationPin {
 ///     pins either cover files that are still live or the open retries
 ///     against the newer generation — there is no window where a reader
 ///     holds unpinned files.
-///   * Sweepers (Build cleanup, `dlv gc`, the maintenance daemon) bump
-///     the sweep epoch, then delete only files that are older than the
-///     committed manifest, not referenced by it, AND unpinned. Readers
-///     only ever pin generations the committed manifest references, so a
-///     file observed unreferenced and unpinned can never gain a new pin
-///     mid-sweep: observing it once is conclusive.
+///   * Sweepers (Build cleanup, `dlv gc`, the maintenance daemon) delete
+///     only files that are older than the committed manifest, not
+///     referenced by it, AND unpinned. The GC sweep (`dlv gc`, the
+///     daemon) first bumps the sweep epoch; Build cleanup does not.
+///     Readers only ever pin generations the committed manifest
+///     references, so a file observed unreferenced and unpinned can never
+///     gain a new pin mid-sweep: observing it once is conclusive.
 class GenerationPinRegistry {
  public:
   /// Leaked process singleton (safe during static destruction).

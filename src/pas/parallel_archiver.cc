@@ -62,12 +62,12 @@ void EncodeTile(const ParallelArchiver::Job& job, const TileShape& shape,
 
 /// Chunks appended to one destination store this build, by content hash.
 /// Committer-thread state, so no locking: CommitJob runs in job order on
-/// the caller's thread in both the serial and the parallel pipeline.
+/// the caller's thread.
 using IntraDedupMap =
     std::unordered_map<const ChunkStoreWriter*,
                        std::unordered_map<Hash128, uint32_t, Hash128Hasher>>;
 
-/// The serial committer half for one job: ordered appends into the job's
+/// The committer half for one job: ordered appends into the job's
 /// destination store, with optional content-addressed dedup. Caller
 /// thread only — dedup decisions are part of the deterministic commit
 /// order, never of the parallel encode stage.
@@ -187,17 +187,16 @@ Result<std::vector<ParallelArchiver::Placement>> ParallelArchiver::Run(
   // spawns) what it can keep busy, not the knob.
   const int workers = static_cast<int>(
       std::min<int64_t>(resolved_threads, std::max<int64_t>(1, total_tasks)));
-  const bool serial = workers <= 1;
   span.Annotate("jobs", static_cast<uint64_t>(jobs.size()));
   span.Annotate("tiles", static_cast<uint64_t>(total_tiles));
-  span.Annotate("threads", static_cast<uint64_t>(serial ? 1 : workers));
+  span.Annotate("threads", static_cast<uint64_t>(workers));
   MH_COUNTER("pas.archive.jobs")->Add(jobs.size());
   MH_COUNTER("pas.archive.tiles")->Add(total_tiles);
-  MH_GAUGE("pas.archive.threads")->Set(serial ? 1 : workers);
+  MH_GAUGE("pas.archive.threads")->Set(workers);
   if (stats != nullptr) {
     *stats = ArchivePipelineStats{};
     stats->jobs = static_cast<int>(jobs.size());
-    stats->threads = serial ? 1 : workers;
+    stats->threads = workers;
     stats->tiles = total_tiles;
     stats->job_encode_ms.reserve(jobs.size());
     stats->tile_encode_ms.reserve(static_cast<size_t>(total_tiles));
@@ -207,52 +206,8 @@ Result<std::vector<ParallelArchiver::Placement>> ParallelArchiver::Run(
   placements.reserve(jobs.size());
   const Codec* compressor = Codec::Get(codec);
 
-  if (serial) {
-    // Serial reference path: tile + compress + commit inline per job, in
-    // order. Runs the very same kernels as the parallel path, so the
-    // stored bytes are identical by construction.
-    std::vector<float> slab;
-    for (size_t i = 0; i < jobs.size(); ++i) {
-      const Job& job = jobs[i];
-      TraceSpan encode_span("pas.archive.encode");
-      Stopwatch encode_watch;
-      std::array<std::string, kNumPlanes> planes;
-      const size_t n = job.target->data().size();
-      for (auto& plane : planes) plane.resize(n);
-      std::vector<double> tile_ms;
-      tile_ms.reserve(static_cast<size_t>(shapes[i].num_tiles));
-      for (int t = 0; t < shapes[i].num_tiles; ++t) {
-        Stopwatch tile_watch;
-        EncodeTile(job, shapes[i], t, &planes, &slab);
-        tile_ms.push_back(tile_watch.ElapsedMillis());
-      }
-      EncodedPayload payload;
-      payload.raw_plane_bytes = static_cast<uint64_t>(n);
-      std::array<double, kNumPlanes> plane_ms{};
-      for (int p = 0; p < kNumPlanes; ++p) {
-        Stopwatch plane_watch;
-        MH_RETURN_IF_ERROR(
-            compressor->Compress(Slice(planes[p]), &payload.planes[p]));
-        plane_ms[p] = plane_watch.ElapsedMillis();
-      }
-      const double encode_ms = encode_watch.ElapsedMillis();
-      MH_HISTOGRAM("pas.archive.encode.us")
-          ->Record(static_cast<uint64_t>(encode_ms * 1000.0));
-      encode_span.Annotate("raw_bytes", payload.raw_plane_bytes * kNumPlanes);
-      RecordJobStats(payload, encode_ms, tile_ms, plane_ms, stats);
-      Stopwatch commit_watch;
-      MH_ASSIGN_OR_RETURN(
-          Placement placement,
-          CommitJob(job, payload, codec, dedup, &intra, stats));
-      if (stats != nullptr) stats->commit_ms += commit_watch.ElapsedMillis();
-      placements.push_back(placement);
-    }
-    RecordDedupStats(stats);
-    if (stats != nullptr) stats->wall_ms = wall.ElapsedMillis();
-    return placements;
-  }
-
-  // --- Parallel pipeline. Tile tasks fill each job's shared plane
+  // --- The pipeline, on `workers` pool threads (one is enough: the
+  // caller thread commits). Tile tasks fill each job's shared plane
   // buffers (disjoint ranges); the job's last tile schedules four codec
   // tasks; the last codec task publishes the job's slot. The caller
   // thread is the committer, consuming slots in job order as they become

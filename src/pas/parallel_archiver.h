@@ -73,12 +73,13 @@ struct ArchivePipelineStats {
 /// Determinism guarantee: tiles only partition the delta + segmentation
 /// work; every codec still compresses a whole assembled plane, so the
 /// chunk payloads — and therefore the archive bytes — are identical for
-/// every tile size and thread count, and `threads == 1` reproduces the
-/// serial writer exactly. Because workers never touch the Env, the
-/// pipeline is safe over non-thread-safe Envs (MemEnv, FaultInjectionEnv)
-/// and preserves the crash-safety protocol unchanged: every mutating
-/// filesystem operation still happens on the caller's thread in the
-/// serial commit order.
+/// every tile size and thread count. `threads == 1` is the same pipeline
+/// on one worker; the independent reference it is tested against is a
+/// plain ChunkStoreWriter::Put loop. Because workers never touch the Env,
+/// the pipeline is safe over non-thread-safe Envs (MemEnv,
+/// FaultInjectionEnv) and preserves the crash-safety protocol unchanged:
+/// every mutating filesystem operation still happens on the caller's
+/// thread in the serial commit order.
 class ParallelArchiver {
  public:
   /// One parameter matrix to archive. `base == nullptr` stores `target`
@@ -122,14 +123,14 @@ class ParallelArchiver {
     std::vector<std::string> prior_files;
   };
 
-  /// Encodes every job (in parallel when more than one worker is useful)
-  /// and appends the resulting chunks to each job's destination store in
-  /// job order. The committer is pipelined: job i's chunks are appended as
-  /// soon as jobs 0..i have encoded, while later jobs are still
-  /// compressing. On error the first failing job's status is returned (no
-  /// later job is committed) and the stores are left unfinished — the
-  /// caller abandons the build, which is safe because nothing was
-  /// published. `tile_rows` follows ResolveTileRows (0 = auto).
+  /// Encodes every job on a pool of up to `threads` workers and appends
+  /// the resulting chunks to each job's destination store in job order.
+  /// The committer is pipelined: job i's chunks are appended as soon as
+  /// jobs 0..i have encoded, while later jobs are still compressing. On
+  /// error the first failing job's status is returned (no later job is
+  /// committed) and the stores are left unfinished — the caller abandons
+  /// the build, which is safe because nothing was published. `tile_rows`
+  /// follows ResolveTileRows (0 = auto).
   ///
   /// With a non-null `dedup`, the committer content-hashes every
   /// compressed plane and (a) references a prior generation's chunk on a

@@ -288,7 +288,47 @@ TEST(ChunkStoreTest, MmapPathStillDetectsCorruption) {
   auto reader = ChunkStoreReader::Open(env, path);
   ASSERT_TRUE(reader.ok());
   EXPECT_TRUE(reader->Get(0).status().IsCorruption());
+  EXPECT_TRUE(reader->GetCompressed(0).status().IsCorruption());
   EXPECT_TRUE(reader->Verify(0).IsCorruption());
+}
+
+/// A MemEnv whose next ranged read fails once with an IOError.
+class FlakyReadEnv : public MemEnv {
+ public:
+  void FailNextRead() { fail_next_read_ = true; }
+
+  Result<std::string> ReadFileRange(const std::string& path, uint64_t offset,
+                                    uint64_t length) override {
+    if (fail_next_read_) {
+      fail_next_read_ = false;
+      return Status::IOError("injected transient read fault: " + path);
+    }
+    return MemEnv::ReadFileRange(path, offset, length);
+  }
+
+ private:
+  bool fail_next_read_ = false;
+};
+
+TEST(ChunkStoreTest, VerifyRetriesOneTransientReadFault) {
+  // Every verified chunk read retries a single failed ranged read: fsck's
+  // Verify must not report a defect that Get and GetCompressed ride out.
+  FlakyReadEnv env;
+  ChunkStoreWriter writer(&env, "store.bin");
+  const std::string data(4096, 'q');
+  ASSERT_TRUE(writer.Put(Slice(data), CodecType::kRle).ok());
+  ASSERT_TRUE(writer.Finish().ok());
+  auto reader = ChunkStoreReader::Open(&env, "store.bin");
+  ASSERT_TRUE(reader.ok());
+  env.FailNextRead();
+  auto raw = reader->Get(0);
+  ASSERT_TRUE(raw.ok()) << raw.status().ToString();
+  EXPECT_EQ(*raw, data);
+  env.FailNextRead();
+  EXPECT_TRUE(reader->GetCompressed(0).ok());
+  env.FailNextRead();
+  const Status verified = reader->Verify(0);
+  EXPECT_TRUE(verified.ok()) << verified.ToString();
 }
 
 // --------------------------------------------------------------- Archive
@@ -537,6 +577,66 @@ TEST(ArchiveBuilderTest, InputValidation) {
   ASSERT_TRUE(builder.Build(options).ok());
   EXPECT_EQ(builder.Build(options).status().code(),
             StatusCode::kFailedPrecondition);
+}
+
+TEST(ArchiveBuilderTest, RejectedSnapshotLeavesNoTrace) {
+  // A snapshot rejected for a duplicate parameter registers nothing: its
+  // name stays free, and the archive holds exactly what was accepted.
+  MemEnv env;
+  Rng rng(5);
+  FloatMatrix m(3, 4);
+  FloatMatrix n(3, 4);
+  m.FillGaussian(&rng, 0.1f);
+  n.FillGaussian(&rng, 0.1f);
+  ArchiveBuilder builder(&env, "arch");
+  EXPECT_TRUE(
+      builder.AddSnapshot("x", {{"w", m}, {"w", n}}).IsAlreadyExists());
+  const std::vector<NamedParam> y = {{"w", n}};
+  const std::vector<NamedParam> x = {{"w", m}, {"b", n}};
+  ASSERT_TRUE(builder.AddSnapshot("y", y).ok());
+  ASSERT_TRUE(builder.AddSnapshot("x", x).ok());
+  ArchiveOptions options;
+  options.enable_similarity_pairing = false;  // Every matrix materialized.
+  ASSERT_TRUE(builder.Build(options).ok());
+  auto reader = ArchiveReader::Open(&env, "arch");
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  for (const auto& [name, params] :
+       {std::make_pair("y", &y), std::make_pair("x", &x)}) {
+    SCOPED_TRACE(name);
+    auto restored = reader->RetrieveSnapshot(name);
+    ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+    ASSERT_EQ(restored->size(), params->size());
+    for (size_t p = 0; p < params->size(); ++p) {
+      EXPECT_EQ((*restored)[p].name, (*params)[p].name);
+      EXPECT_TRUE((*restored)[p].value.BitEquals((*params)[p].value));
+    }
+  }
+}
+
+TEST(ArchiveBuilderTest, StorageGraphTakesSimilarityPairsAsVertexIds) {
+  // Two one-matrix snapshots are vertices 1 and 2. A similarity pair adds
+  // its delta edge after the materialization edges; an id outside 1..2 is
+  // InvalidArgument.
+  std::vector<NamedParam> a = {{"w", FloatMatrix(4, 4)}};
+  std::vector<NamedParam> b = {{"w", FloatMatrix(4, 4)}};
+  a[0].value.Fill(1.0f);
+  b[0].value.Fill(2.0f);
+  const std::vector<SnapshotSpec> specs = {{"a", &a}, {"b", &b}};
+  int first_similarity_edge = -2;
+  auto graph = BuildMatrixStorageGraph(specs, {}, ArchiveOptions(), nullptr,
+                                       {{1, 2}}, &first_similarity_edge);
+  ASSERT_TRUE(graph.ok()) << graph.status().ToString();
+  ASSERT_EQ(graph->edges().size(), 3u);
+  EXPECT_EQ(first_similarity_edge, 2);
+  EXPECT_EQ(graph->edge(2).u, 1);
+  EXPECT_EQ(graph->edge(2).v, 2);
+  for (const std::pair<int, int>& bad :
+       {std::make_pair(1, 3), std::make_pair(0, 1)}) {
+    EXPECT_TRUE(BuildMatrixStorageGraph(specs, {}, ArchiveOptions(), nullptr,
+                                        {bad})
+                    .status()
+                    .IsInvalidArgument());
+  }
 }
 
 TEST_F(ArchiveTest, ParallelRetrievalMatchesSequential) {

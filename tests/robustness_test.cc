@@ -250,7 +250,7 @@ TEST(CrashSafetyTest, CommitIsAtomicUnderTornWrites) {
 /// each crash. `archive_threads` exercises the parallel write pipeline —
 /// its encode workers never touch the Env, so every mutation still happens
 /// on the committer thread in serial order and the sweep must behave
-/// exactly like the serial writer's.
+/// exactly like a one-worker build's.
 void SweepArchiveCrashes(int archive_threads, bool torn) {
   // Baseline: one archived generation plus freshly staged snapshots, so a
   // crashed re-archive must preserve a previous archive AND staging files.

@@ -62,8 +62,8 @@ constexpr CommandHelp kCommands[] = {
      "scaffold a version from another"},
     {"model version management", "dlv archive <repo> [solver] [alpha]",
      "compact snapshots into PAS\n(solver: pas-pt pas-mt last mst spt;\n"
-     "--archive-threads=N pins the write\npipeline, 1=serial, default auto;\n"
-     "--tile-rows=N pins encode tiling)"},
+     "--archive-threads=N pins the write\npipeline, 1=one worker, default\n"
+     "auto; --tile-rows=N pins encode tiling)"},
     {"model version management", "dlv fsck <repo> [--quarantine]",
      "verify repository integrity;\n--quarantine sets orphans aside"},
     {"model version management", "dlv maintain <repo> [--interval <ms>]",

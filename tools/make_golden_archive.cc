@@ -70,7 +70,7 @@ int Run(const std::string& dir) {
   }
   ArchiveOptions options;
   options.delta_kind = DeltaKind::kXor;  // Bit-exact retrieval.
-  options.archive_threads = 1;  // Golden bytes are the serial reference
+  options.archive_threads = 1;  // Golden bytes from one worker
                                 // (identical at any thread count).
   auto report = builder.Build(options);
   if (!report.ok()) {
