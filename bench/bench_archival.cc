@@ -4,13 +4,16 @@
 // every parallel archive against the one-worker build. Emits
 // BENCH_archival.json.
 //
-// Speedup is reported against the measured one-worker wall time of the
-// same corpus. `hardware_threads` is included so a reader can judge the
-// numbers: on a single-core container the pipeline cannot beat one worker
-// no matter how many workers it spawns — the differential bit-identity
-// result (and the property/robustness suites) carry the correctness
-// claim, the speedup column is honest wall-clock on whatever hardware ran
-// the bench.
+// Every thread count is built three times and reported by its median
+// wall time (the run's other columns come from that median build), so one
+// slow build cannot decide the speedup CI gates; every build is checked
+// for byte identity. Speedup is reported against the median one-worker
+// wall time of the same corpus. `hardware_threads` is included so a
+// reader can judge the numbers: on a single-core container the pipeline
+// cannot beat one worker no matter how many workers it spawns — the
+// differential bit-identity result (and the property/robustness suites)
+// carry the correctness claim, the speedup column is honest wall-clock on
+// whatever hardware ran the bench.
 
 #include <algorithm>
 #include <cstdio>
@@ -79,8 +82,8 @@ Result<ArchiveBuildReport> BuildArchive(Env* env, const std::string& dir,
 
 /// Fine-tuned family: one base checkpoint plus `variants` descendants that
 /// each mutate a single parameter sparsely and keep the rest frozen —
-/// the cross-model sharing pattern the content-addressed chunk index is
-/// built for. No lineage is declared, mirroring independently uploaded
+/// the cross-model sharing pattern content-addressed chunk dedup is built
+/// for. No lineage is declared, mirroring independently uploaded
 /// fine-tunes.
 Corpus MakeFamilyCorpus(int variants, int num_params, int64_t rows,
                         int64_t cols) {
@@ -127,7 +130,7 @@ Result<ArchiveBuildReport> BuildFamilyArchive(Env* env,
   ArchiveOptions options;
   options.enable_dedup = dedup;
   // Hold the delta plan fixed on both sides: the ratio below then
-  // isolates what the chunk index saves, not what pairing saves.
+  // isolates what chunk dedup saves, not what pairing saves.
   options.enable_similarity_pairing = false;
   return builder.Build(options);
 }
@@ -188,12 +191,40 @@ int main() {
   double serial_wall_ms = 0.0;
   bool bit_identical = true;
 
+  constexpr int kRepeats = 3;
   for (const int threads : {1, 4, 8}) {
-    MemEnv env;
-    Stopwatch watch;
-    auto report = BuildArchive(&env, "archive", corpus, threads);
-    const double wall_ms = watch.ElapsedMillis();
-    bench::Check(report.status(), "build");
+    std::vector<std::pair<double, ArchiveBuildReport>> builds;
+    for (int repeat = 0; repeat < kRepeats; ++repeat) {
+      MemEnv env;
+      Stopwatch watch;
+      auto report = BuildArchive(&env, "archive", corpus, threads);
+      const double wall_ms = watch.ElapsedMillis();
+      bench::Check(report.status(), "build");
+      builds.emplace_back(wall_ms, std::move(*report));
+
+      // Differential check: every archive must be byte-identical to the
+      // first one-worker build.
+      auto names = env.ListDir("archive");
+      bench::Check(names.status(), "list");
+      std::map<std::string, std::string> files;
+      for (const std::string& name : *names) {
+        auto data = env.ReadFile(JoinPath("archive", name));
+        bench::Check(data.status(), "read");
+        files[name] = std::move(*data);
+      }
+      if (reference_files.empty()) {
+        reference_files = std::move(files);
+      } else if (files != reference_files) {
+        bit_identical = false;
+        std::fprintf(stderr,
+                     "FAILED: threads=%d build %d differs from serial\n",
+                     threads, repeat);
+      }
+    }
+    std::sort(builds.begin(), builds.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
+    const double wall_ms = builds[kRepeats / 2].first;
+    const ArchivePipelineStats& pipeline = builds[kRepeats / 2].second.pipeline;
     Row row;
     row.threads = threads;
     row.wall_ms = wall_ms;
@@ -202,33 +233,15 @@ int main() {
         : 0.0;
     if (threads == 1) serial_wall_ms = wall_ms;
     row.speedup = wall_ms > 0 ? serial_wall_ms / wall_ms : 0.0;
-    row.p50_ms = PercentileMs(report->pipeline.job_encode_ms, 0.50);
-    row.p99_ms = PercentileMs(report->pipeline.job_encode_ms, 0.99);
-    row.stored_bytes = report->pipeline.compressed_bytes;
-    row.tiles = report->pipeline.tiles;
-    row.tile_p50_ms = PercentileMs(report->pipeline.tile_encode_ms, 0.50);
-    row.tile_p99_ms = PercentileMs(report->pipeline.tile_encode_ms, 0.99);
-    row.codec_p50_ms = PercentileMs(report->pipeline.plane_codec_ms, 0.50);
-    row.codec_p99_ms = PercentileMs(report->pipeline.plane_codec_ms, 0.99);
+    row.p50_ms = PercentileMs(pipeline.job_encode_ms, 0.50);
+    row.p99_ms = PercentileMs(pipeline.job_encode_ms, 0.99);
+    row.stored_bytes = pipeline.compressed_bytes;
+    row.tiles = pipeline.tiles;
+    row.tile_p50_ms = PercentileMs(pipeline.tile_encode_ms, 0.50);
+    row.tile_p99_ms = PercentileMs(pipeline.tile_encode_ms, 0.99);
+    row.codec_p50_ms = PercentileMs(pipeline.plane_codec_ms, 0.50);
+    row.codec_p99_ms = PercentileMs(pipeline.plane_codec_ms, 0.99);
     rows.push_back(row);
-
-    // Differential check: every archive must be byte-identical to the
-    // one-worker build.
-    auto names = env.ListDir("archive");
-    bench::Check(names.status(), "list");
-    std::map<std::string, std::string> files;
-    for (const std::string& name : *names) {
-      auto data = env.ReadFile(JoinPath("archive", name));
-      bench::Check(data.status(), "read");
-      files[name] = std::move(*data);
-    }
-    if (threads == 1) {
-      reference_files = std::move(files);
-    } else if (files != reference_files) {
-      bit_identical = false;
-      std::fprintf(stderr, "FAILED: threads=%d archive differs from serial\n",
-                   threads);
-    }
 
     std::printf(
         "threads=%d  wall %8.1f ms  ingest %7.2f MB/s  speedup %.2fx  "
@@ -241,7 +254,7 @@ int main() {
   }
 
   // Cross-model deduplication on a fine-tuned family: same corpus, same
-  // delta plan, chunk index on vs off. The ratio is real bytes on disk.
+  // delta plan, dedup on vs off. The ratio is real bytes on disk.
   const Corpus family = quick ? MakeFamilyCorpus(8, 4, 64, 96)
                               : MakeFamilyCorpus(8, 6, 192, 256);
   uint64_t family_stored_on = 0;
@@ -301,6 +314,7 @@ int main() {
   std::string json = "{\"bench\":\"archival\",\"raw_bytes\":" +
                      std::to_string(corpus.raw_bytes) +
                      ",\"hardware_threads\":" + std::to_string(hardware) +
+                     ",\"builds_per_run\":" + std::to_string(kRepeats) +
                      ",\"bit_identical\":" +
                      (bit_identical ? "true" : "false") + ",\"runs\":[";
   for (size_t i = 0; i < rows.size(); ++i) {

@@ -16,7 +16,6 @@
 #include "dlv/repository.h"
 #include "nn/network_def.h"
 #include "pas/archive.h"
-#include "pas/chunk_index.h"
 
 namespace modelhub {
 
@@ -196,6 +195,9 @@ Result<FsckReport> RunFsck(Env* env, const std::string& root,
                                reader.status().ToString());
     } else {
       referenced_pas.insert("manifest.bin");
+      // Builds that kept a chunk index left it next to the manifest; the
+      // next Build deletes it, so it is no orphan.
+      referenced_pas.insert(kLegacyChunkIndexFile);
       for (const std::string& name : reader->data_files()) {
         referenced_pas.insert(name);
       }
@@ -215,50 +217,6 @@ Result<FsckReport> RunFsck(Env* env, const std::string& root,
       report.notes.push_back("archive generation " +
                              std::to_string(archive_generation) +
                              " verified");
-      // The content-addressed chunk index is derived state (DESIGN.md
-      // §15): a missing, stale, or inconsistent index is never a defect —
-      // fsck rebuilds it from the manifest + chunk stores and saves the
-      // rebuilt copy as a repair. It is compared entry-for-entry against
-      // a fresh rebuild so silently wrong refcounts or locations (e.g. a
-      // torn append) are caught, not just unreadable files.
-      referenced_pas.insert(ChunkIndex::kFileName);
-      auto rebuilt = RebuildChunkIndex(env, pas_dir);
-      if (!rebuilt.ok()) {
-        report.defects.push_back("chunk index rebuild failed: " +
-                                 rebuilt.status().ToString());
-      } else {
-        bool index_ok = false;
-        auto loaded = ChunkIndex::Load(env, pas_dir);
-        if (loaded.ok() && loaded->generation() == rebuilt->generation()) {
-          const auto want = rebuilt->SortedEntries();
-          const auto have = loaded->SortedEntries();
-          index_ok = want.size() == have.size();
-          for (size_t i = 0; index_ok && i < want.size(); ++i) {
-            index_ok = want[i].hash == have[i].hash &&
-                       want[i].file == have[i].file &&
-                       want[i].chunk_id == have[i].chunk_id &&
-                       want[i].refcount == have[i].refcount &&
-                       want[i].stored_size == have[i].stored_size;
-          }
-        }
-        if (index_ok) {
-          report.notes.push_back(
-              "chunk index consistent: " + std::to_string(rebuilt->size()) +
-              " entry(s), " + std::to_string(rebuilt->TotalRefs()) +
-              " plane reference(s)");
-        } else {
-          const Status saved = rebuilt->Save(env, pas_dir);
-          if (saved.ok()) {
-            report.repairs.push_back(
-                "rebuilt chunk index from the manifest (" +
-                std::to_string(rebuilt->size()) + " entry(s))");
-          } else {
-            report.defects.push_back("chunk index rebuild could not be " +
-                                     std::string("saved: ") +
-                                     saved.ToString());
-          }
-        }
-      }
     }
   }
 

@@ -8,7 +8,6 @@
 #include "common/trace.h"
 #include "dlv/layout.h"
 #include "pas/archive.h"
-#include "pas/chunk_index.h"
 #include "pas/generation_pins.h"
 
 namespace modelhub {
@@ -31,10 +30,6 @@ std::string GcReport::ToString() const {
   if (shared_files > 0) {
     out << "  shared: " << shared_files << " file(s), " << shared_bytes
         << " byte(s) still referenced through dedup\n";
-  }
-  if (index_entries_purged > 0) {
-    out << "  chunk index: " << index_entries_purged
-        << " entry(s) purged\n";
   }
   if (quarantine_files > 0) {
     out << "  quarantine: " << quarantine_files << " file(s), "
@@ -98,21 +93,6 @@ Result<GcReport> RunArchiveGc(Env* env, const std::string& repo_root,
       report.reclaimed_bytes += bytes;
     }
     report.pending_generations.assign(pending.begin(), pending.end());
-    // Refcount-0 reclamation in the chunk index: entries whose data file
-    // no longer exists can never be referenced again — drop them so the
-    // index only advertises chunks future builds can actually reuse.
-    // Best effort: the index is derived state and fsck can rebuild it.
-    if (!options.dry_run) {
-      if (auto index = ChunkIndex::Load(env, pas_dir); index.ok()) {
-        report.index_entries_purged =
-            index->PruneFiles([&](const std::string& file) {
-              return env->FileExists(JoinPath(pas_dir, file));
-            });
-        if (report.index_entries_purged > 0) {
-          (void)index->Save(env, pas_dir);
-        }
-      }
-    }
   }
 
   if (options.include_quarantine) {
@@ -140,8 +120,6 @@ Result<GcReport> RunArchiveGc(Env* env, const std::string& repo_root,
     MH_COUNTER("lifecycle.gc.reclaimed.files")
         ->Add(report.reclaimed_files + report.quarantine_files);
   }
-  MH_COUNTER("lifecycle.gc.index.purged")
-      ->Add(report.index_entries_purged);
   MH_GAUGE("lifecycle.gc.pinned.files")
       ->Set(static_cast<int64_t>(report.pinned_files));
   MH_GAUGE("lifecycle.gc.shared.files")

@@ -38,8 +38,6 @@ struct GcReport {
   /// referencing them.
   uint64_t shared_files = 0;
   uint64_t shared_bytes = 0;
-  /// Chunk-index entries purged because their data file is gone.
-  uint64_t index_entries_purged = 0;
   /// Distinct superseded generations still pinned (pending GC).
   std::vector<uint64_t> pending_generations;
 
@@ -54,13 +52,11 @@ struct GcReport {
 /// generation-numbered data file whose generation is strictly older than
 /// the one the committed manifest names, that the manifest does not
 /// reference through cross-generation dedup, AND that no live retrieval
-/// pins. After deleting, chunk-index entries pointing at removed files
-/// are purged (the refcount-0 reclamation of DESIGN.md §15).
-/// Files of generations newer than the manifest (an in-flight rebuild's
-/// output) are never touched; neither is the manifest itself. Readers
-/// only ever pin the committed generation (pin-then-reverify in
-/// ArchiveReader::Open), so a generation observed unpinned here can
-/// never regain a pin mid-sweep — deleting it is race-free.
+/// pins. Files of generations newer than the manifest (an in-flight
+/// rebuild's output) are never touched; neither is the manifest itself.
+/// Readers only ever pin the committed generation (pin-then-reverify in
+/// ArchiveReader::Open), so a generation observed unpinned here can never
+/// regain a pin mid-sweep — deleting it is race-free.
 ///
 /// A repo with no archive yields an empty report, not an error.
 Result<GcReport> RunArchiveGc(Env* env, const std::string& repo_root,

@@ -14,6 +14,11 @@ namespace modelhub {
 
 namespace {
 
+/// Longest selector Select compiles. libstdc++'s regex compiler recurses
+/// once per pattern element, so a 100 000-byte selector from one DQL query
+/// overflows the stack; layer-name patterns are far shorter than this.
+constexpr size_t kMaxSelectorBytes = 4096;
+
 /// Non-throwing integer / float parsing for untrusted serialized input.
 bool ParseInt64(const std::string& text, int64_t* out) {
   if (text.empty()) return false;
@@ -110,6 +115,11 @@ std::vector<std::string> NetworkDef::Prev(const std::string& name) const {
 
 Result<std::vector<std::string>> NetworkDef::Select(
     const std::string& pattern) const {
+  if (pattern.size() > kMaxSelectorBytes) {
+    return Status::InvalidArgument(
+        "selector regex longer than " + std::to_string(kMaxSelectorBytes) +
+        " bytes");
+  }
   std::regex re;
   try {
     re = std::regex(pattern, std::regex::extended);

@@ -57,6 +57,7 @@ class NetworkDef {
 
   /// Names of nodes matching an anchored POSIX-extended regex — the DQL
   /// selector operator m["conv[1,3,5]"]. Returns names in insertion order.
+  /// A pattern over 4096 bytes is InvalidArgument and is never compiled.
   Result<std::vector<std::string>> Select(const std::string& pattern) const;
 
   /// Inserts `layer` on the outgoing edge(s) of `after`: after -> X becomes

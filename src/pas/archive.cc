@@ -11,6 +11,7 @@
 #include "common/metrics.h"
 #include "common/stopwatch.h"
 #include "common/trace.h"
+#include "pas/content_hash.h"
 #include "pas/sketch.h"
 
 namespace modelhub {
@@ -552,53 +553,11 @@ Result<ArchiveBuildReport> ArchiveBuilder::Build(
     job.destination = tiers[i] == 1 ? &remote_chunks : &chunks;
     if (tiers[i] == 1) ++remote_payloads;
   }
-  // --- Cross-generation dedup context (DESIGN.md §15): the committed
-  // generation's chunk index maps content hash -> (file, chunk id), so
-  // planes already stored by a prior build are referenced instead of
-  // re-appended. The index is derived state — if it is missing, stale
-  // (generation mismatch), or corrupt, it is rebuilt from the manifest
-  // and chunk stores; on any failure the build simply proceeds without
-  // cross-generation sharing. Entries pointing at files GC already
-  // removed are pruned before use.
+  // --- Cross-generation dedup context (DESIGN.md §15): planes the
+  // committed generation already stores are referenced instead of
+  // re-appended.
   ParallelArchiver::DedupContext dedup_ctx;
-  if (options.enable_dedup) {
-    ChunkIndex prior_index;
-    bool have_prior = false;
-    if (auto loaded = ChunkIndex::Load(env_, dir_); loaded.ok()) {
-      if (auto gen = ReadArchiveGeneration(env_, dir_);
-          gen.ok() && *gen == loaded->generation()) {
-        prior_index = std::move(*loaded);
-        have_prior = true;
-      }
-    }
-    if (!have_prior && env_->FileExists(ManifestPath(dir_))) {
-      if (auto rebuilt = RebuildChunkIndex(env_, dir_); rebuilt.ok()) {
-        prior_index = std::move(*rebuilt);
-        have_prior = true;
-      }
-    }
-    if (have_prior) {
-      std::set<std::string> existing;
-      if (auto names = env_->ListDir(dir_); names.ok()) {
-        existing.insert(names->begin(), names->end());
-      }
-      prior_index.PruneFiles([&existing](const std::string& file) {
-        return existing.count(file) > 0;
-      });
-      // SortedEntries (hash order) makes prior_files — and therefore the
-      // manifest's extra-file table — deterministic across builds.
-      std::map<std::string, int> file_slot;
-      for (const ChunkIndexEntry& entry : prior_index.SortedEntries()) {
-        auto [it, inserted] = file_slot.emplace(
-            entry.file, static_cast<int>(dedup_ctx.prior_files.size()));
-        if (inserted) dedup_ctx.prior_files.push_back(entry.file);
-        dedup_ctx.prior.emplace(
-            entry.hash,
-            ParallelArchiver::DedupContext::PriorChunk{
-                it->second, entry.chunk_id, entry.stored_size});
-      }
-    }
-  }
+  if (options.enable_dedup) dedup_ctx = PriorChunks();
   ArchivePipelineStats pipeline_stats;
   MH_ASSIGN_OR_RETURN(
       const std::vector<ParallelArchiver::Placement> placements,
@@ -670,37 +629,9 @@ Result<ArchiveBuildReport> ArchiveBuilder::Build(
   }
   framed.append(manifest);
   MH_RETURN_IF_ERROR(WriteChecked(env_, ManifestPath(dir_), framed));
-  // --- Persist the chunk index (best effort — it is derived state,
-  // rebuildable from the manifest; a failed save must not fail the build
-  // after the manifest committed). With dedup off any stale index is
-  // deleted so the next dedup-enabled build rebuilds from scratch.
-  if (options.enable_dedup) {
-    ChunkIndex new_index;
-    new_index.set_generation(generation);
-    for (size_t i = 0; i < placements.size(); ++i) {
-      for (int p = 0; p < kNumPlanes; ++p) {
-        const int32_t pf = placements[i].prior_file[p];
-        const uint32_t id = placements[i].chunk_ids[p];
-        if (pf >= 0) {
-          auto it = dedup_ctx.prior.find(placements[i].plane_hash[p]);
-          const uint64_t stored =
-              it != dedup_ctx.prior.end() ? it->second.stored_size : 0;
-          new_index.AddRef(placements[i].plane_hash[p],
-                           dedup_ctx.prior_files[static_cast<size_t>(pf)], id,
-                           stored);
-        } else {
-          const bool is_remote = tiers[i] == 1;
-          const ChunkStoreWriter& writer = is_remote ? remote_chunks : chunks;
-          new_index.AddRef(placements[i].plane_hash[p],
-                           is_remote ? remote_name : chunks_name, id,
-                           writer.StoredSize(id));
-        }
-      }
-    }
-    (void)new_index.Save(env_, dir_);
-  } else {
-    (void)env_->DeleteFile(JoinPath(dir_, ChunkIndex::kFileName));
-  }
+  // Builds that kept a chunk index left it next to the manifest; nothing
+  // reads it, so drop it (best effort).
+  (void)env_->DeleteFile(JoinPath(dir_, kLegacyChunkIndexFile));
   // --- Garbage-collect superseded generations (best effort). Generations
   // pinned by a live reader are left behind, as are prior-generation data
   // files the new manifest still references through dedup (shared chunks);
@@ -1359,23 +1290,30 @@ ArchiveDedupStats ArchiveReader::ComputeDedupStats() const {
   return stats;
 }
 
-Result<ChunkIndex> RebuildChunkIndex(Env* env, const std::string& dir) {
-  MH_ASSIGN_OR_RETURN(ArchiveReader reader, ArchiveReader::Open(env, dir));
-  ChunkIndex index;
-  index.set_generation(reader.generation());
-  for (size_t v = 1; v < reader.vertices_.size(); ++v) {
-    const auto& meta = reader.vertices_[v];
+ParallelArchiver::DedupContext ArchiveBuilder::PriorChunks() const {
+  ParallelArchiver::DedupContext prior;
+  if (!env_->FileExists(ManifestPath(dir_))) return prior;
+  // The reader and its generation pins live only inside this call, so
+  // they cannot hold a superseded generation past Build's cleanup. An
+  // archive that does not open shares nothing.
+  auto reader = ArchiveReader::Open(env_, dir_);
+  if (!reader.ok()) return prior;
+  prior.prior_files = reader->store_names_;  // PriorChunk::file is a slot.
+  for (size_t v = 1; v < reader->vertices_.size(); ++v) {
+    const ArchiveReader::VertexMeta& meta = reader->vertices_[v];
     for (int p = 0; p < kNumPlanes; ++p) {
       const uint32_t slot = meta.slots[p];
-      MH_ASSIGN_OR_RETURN(const std::string payload,
-                          reader.stores_[slot]->GetCompressed(
-                              meta.chunk_ids[p]));
-      index.AddRef(ContentHash128(payload.data(), payload.size()),
-                   reader.store_names_[slot], meta.chunk_ids[p],
-                   payload.size());
+      const uint32_t id = meta.chunk_ids[p];
+      // A chunk whose stored bytes fail their CRC is never offered.
+      auto payload = reader->stores_[slot]->GetCompressed(id);
+      if (!payload.ok()) continue;
+      // First (slot, chunk id) seen wins for a hash stored more than once.
+      prior.prior.emplace(ContentHash128(Slice(*payload)),
+                          ParallelArchiver::DedupContext::PriorChunk{
+                              static_cast<int>(slot), id});
     }
   }
-  return index;
+  return prior;
 }
 
 }  // namespace modelhub

@@ -12,7 +12,6 @@
 #include "common/thread_pool.h"
 #include "common/result.h"
 #include "nn/network.h"
-#include "pas/chunk_index.h"
 #include "pas/chunk_store.h"
 #include "pas/delta.h"
 #include "pas/generation_pins.h"
@@ -80,10 +79,9 @@ struct ArchiveOptions {
   std::map<std::string, double> group_budget_alpha;
   /// Content-addressed chunk dedup (DESIGN.md §15). The committer hashes
   /// every compressed plane chunk and stores identical content once —
-  /// within the build, and across generations via the persistent chunk
-  /// index (`chunk_index.bin`). Dedup only changes *where* chunks live,
-  /// never the storage plan or any retrieved byte; retrieval never
-  /// consults the index. Disabling also deletes the on-disk index.
+  /// within the build, and across generations by hashing the chunks the
+  /// committed manifest references. Dedup only changes *where* chunks
+  /// live, never the storage plan or any retrieved byte.
   bool enable_dedup = true;
   /// Similarity-based delta pairing: per-parameter minhash sketches over
   /// the high-order float bytes propose delta parents by content distance
@@ -172,14 +170,10 @@ bool ParseArchiveDataFileName(const std::string& name, uint64_t* gen);
 Result<std::vector<std::string>> ReadArchiveManifestFiles(
     Env* env, const std::string& dir);
 
-/// Rebuilds the content-addressed chunk index from the committed manifest
-/// and chunk stores: every referenced plane chunk is re-read, content-
-/// hashed and ref-counted. This is the recovery path for a missing, torn
-/// or stale `chunk_index.bin` (the index is derived state — the manifest
-/// is the commit point), used by `dlv fsck` as a repair and by the
-/// builder when the stored index cannot be trusted. The result is NOT
-/// saved; callers decide (fsck saves, a dedup-off build does not).
-Result<ChunkIndex> RebuildChunkIndex(Env* env, const std::string& dir);
+/// File name of the chunk index older builds wrote next to the manifest.
+/// Nothing reads it now: Build deletes it and fsck does not call it an
+/// orphan.
+inline constexpr char kLegacyChunkIndexFile[] = "chunk_index.bin";
 
 /// Builds a PAS archive on disk: registers snapshots (co-usage groups),
 /// delta candidates, solves Problem 1, and writes segmented + compressed
@@ -212,6 +206,11 @@ class ArchiveBuilder {
   Result<ArchiveBuildReport> Build(const ArchiveOptions& options);
 
  private:
+  /// The cross-generation dedup map: the content hash of every plane
+  /// chunk the committed manifest references, by store slot and chunk id.
+  /// Empty when `dir_` has no manifest or the archive does not open.
+  ParallelArchiver::DedupContext PriorChunks() const;
+
   Env* env_;
   std::string dir_;
   std::vector<std::string> snapshot_names_;
@@ -248,10 +247,9 @@ enum class ParallelScheme {
 };
 
 /// Dedup accounting of one committed archive, derived purely from the
-/// manifest + chunk stores (never from chunk_index.bin — reporting stays
-/// correct even with a stale index). "Logical" bytes count every plane
-/// reference at its chunk's stored size; "stored" counts each referenced
-/// chunk once — their ratio is the dedup factor.
+/// manifest + chunk stores. "Logical" bytes count every plane reference
+/// at its chunk's stored size; "stored" counts each referenced chunk
+/// once — their ratio is the dedup factor.
 struct ArchiveDedupStats {
   uint64_t plane_refs = 0;      ///< Plane references in the manifest.
   uint64_t unique_chunks = 0;   ///< Distinct (file, chunk) referenced.
@@ -380,8 +378,7 @@ class ArchiveReader {
   std::vector<std::string> VerifyIntegrity() const;
 
  private:
-  friend Result<ChunkIndex> RebuildChunkIndex(Env* env,
-                                              const std::string& dir);
+  friend class ArchiveBuilder;  // PriorChunks reads vertices_ and stores_.
 
   struct VertexMeta {
     std::string snapshot;

@@ -60,9 +60,6 @@ class ChunkStoreWriter {
   /// Number of chunks scheduled so far.
   uint32_t num_chunks() const { return static_cast<uint32_t>(refs_.size()); }
 
-  /// Compressed size of a scheduled chunk (for cost models).
-  uint64_t StoredSize(uint32_t id) const { return refs_[id].stored_size; }
-
   /// Compressed payload bytes of a scheduled chunk, viewing the in-memory
   /// file image. Valid until the next Put/PutCompressed (the buffer may
   /// reallocate). The dedup committer byte-compares hash-equal chunks
@@ -131,8 +128,9 @@ class ChunkStoreReader {
   Status Verify(uint32_t id) const;
 
   /// Fetches and CRC-verifies the *compressed* payload of chunk `id`
-  /// without decompressing it — the content-hash input for chunk-index
-  /// rebuilds (RebuildChunkIndex hashes stored bytes, not raw floats).
+  /// without decompressing it — the content-hash input from which the
+  /// builder derives its cross-generation dedup map (it hashes stored
+  /// bytes, not raw floats).
   Result<std::string> GetCompressed(uint32_t id) const;
 
   const std::string& path() const { return path_; }

@@ -15,15 +15,13 @@ GenerationPinRegistry* GenerationPinRegistry::Global() {
 
 std::shared_ptr<GenerationPin> GenerationPinRegistry::Pin(
     const void* env, const std::string& dir, uint64_t generation) {
-  uint64_t epoch = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
     ++refs_[Key(env, dir, generation)];
-    epoch = epoch_;
   }
   MH_COUNTER("lifecycle.pins.taken")->Add(1);
   return std::shared_ptr<GenerationPin>(
-      new GenerationPin(this, env, dir, generation, epoch));
+      new GenerationPin(this, env, dir, generation));
 }
 
 bool GenerationPinRegistry::IsPinned(const void* env, const std::string& dir,
@@ -33,24 +31,9 @@ bool GenerationPinRegistry::IsPinned(const void* env, const std::string& dir,
   return it != refs_.end() && it->second > 0;
 }
 
-uint64_t GenerationPinRegistry::PinCount(const void* env,
-                                         const std::string& dir) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  uint64_t total = 0;
-  for (const auto& [key, count] : refs_) {
-    if (std::get<0>(key) == env && std::get<1>(key) == dir) total += count;
-  }
-  return total;
-}
-
 uint64_t GenerationPinRegistry::BeginSweepEpoch() {
   std::lock_guard<std::mutex> lock(mu_);
   return ++epoch_;
-}
-
-uint64_t GenerationPinRegistry::current_epoch() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return epoch_;
 }
 
 void GenerationPinRegistry::Release(const void* env, const std::string& dir,

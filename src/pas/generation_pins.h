@@ -25,24 +25,20 @@ class GenerationPin {
   GenerationPin& operator=(const GenerationPin&) = delete;
 
   uint64_t generation() const { return generation_; }
-  /// Sweep epoch at the time the pin was taken (diagnostics only).
-  uint64_t epoch() const { return epoch_; }
 
  private:
   friend class GenerationPinRegistry;
   GenerationPin(GenerationPinRegistry* registry, const void* env,
-                std::string dir, uint64_t generation, uint64_t epoch)
+                std::string dir, uint64_t generation)
       : registry_(registry),
         env_(env),
         dir_(std::move(dir)),
-        generation_(generation),
-        epoch_(epoch) {}
+        generation_(generation) {}
 
   GenerationPinRegistry* registry_;
   const void* env_;
   std::string dir_;
   uint64_t generation_;
-  uint64_t epoch_;
 };
 
 /// Process-wide refcounts of in-use archive generations, keyed by
@@ -74,12 +70,8 @@ class GenerationPinRegistry {
   bool IsPinned(const void* env, const std::string& dir,
                 uint64_t generation) const;
 
-  /// Live pins across all generations of one archive dir.
-  uint64_t PinCount(const void* env, const std::string& dir) const;
-
   /// Starts a new sweep epoch and returns its number (monotonic).
   uint64_t BeginSweepEpoch();
-  uint64_t current_epoch() const;
 
  private:
   friend class GenerationPin;

@@ -17,7 +17,7 @@ namespace modelhub {
 namespace {
 
 /// Output of one job's encode stage: the four compressed plane payloads
-/// plus the raw plane size PutCompressed needs for the chunk index.
+/// plus the raw plane size PutCompressed records in each chunk ref.
 struct EncodedPayload {
   std::string planes[kNumPlanes];
   uint64_t raw_plane_bytes = 0;
@@ -86,7 +86,6 @@ Result<ParallelArchiver::Placement> CommitJob(
       continue;
     }
     const Hash128 hash = ContentHash128(plane);
-    placement.plane_hash[p] = hash;
     if (auto it = dedup->prior.find(hash); it != dedup->prior.end()) {
       placement.prior_file[p] = it->second.file;
       placement.chunk_ids[p] = it->second.chunk_id;

@@ -9,8 +9,8 @@
 #include "common/result.h"
 #include "common/thread_pool.h"
 #include "compress/codec.h"
-#include "pas/chunk_index.h"
 #include "pas/chunk_store.h"
+#include "pas/content_hash.h"
 #include "pas/delta.h"
 #include "pas/segment.h"
 #include "tensor/float_matrix.h"
@@ -98,25 +98,21 @@ class ParallelArchiver {
   /// means plane p lives in DedupContext::prior_files[prior_file[p]] (a
   /// prior generation's data file); otherwise the chunk is in the job's
   /// destination store — either freshly appended or shared with an
-  /// earlier plane of this build (intra hit). `plane_hash[p]` is the
-  /// content hash of the compressed plane payload, recorded whenever a
-  /// DedupContext is supplied (the builder persists it into the chunk
-  /// index).
+  /// earlier plane of this build (intra hit).
   struct Placement {
     uint32_t chunk_ids[kNumPlanes] = {0, 0, 0, 0};
     int32_t prior_file[kNumPlanes] = {-1, -1, -1, -1};
-    Hash128 plane_hash[kNumPlanes];
   };
 
   /// Cross-generation dedup input for Run: compressed plane payloads whose
   /// content hash is in `prior` are referenced in place instead of being
-  /// re-appended. Purely advisory — an empty context (or nullptr) makes
-  /// Run behave exactly as before.
+  /// re-appended. The builder derives it from the committed manifest
+  /// (DESIGN.md §15). Purely advisory — an empty context (or nullptr)
+  /// makes Run behave exactly as before.
   struct DedupContext {
     struct PriorChunk {
       int file = 0;          ///< Index into prior_files.
       uint32_t chunk_id = 0;
-      uint64_t stored_size = 0;
     };
     std::unordered_map<Hash128, PriorChunk, Hash128Hasher> prior;
     /// Data file names (relative to the archive dir) `prior` points into.

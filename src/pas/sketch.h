@@ -5,7 +5,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "pas/chunk_index.h"
+#include "pas/content_hash.h"
 #include "tensor/float_matrix.h"
 
 namespace modelhub {

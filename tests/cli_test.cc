@@ -132,7 +132,6 @@ TEST_F(CliTest, DedupStatsSmoke) {
   const std::string out = DlvOutput("dedup-stats " + repo, &code);
   EXPECT_EQ(code, 0) << out;
   EXPECT_NE(out.find("dedup ratio"), std::string::npos) << out;
-  EXPECT_NE(out.find("chunk index"), std::string::npos) << out;
 
   const std::string json = DlvOutput("dedup-stats " + repo + " --json", &code);
   EXPECT_EQ(code, 0) << json;

@@ -253,6 +253,16 @@ TEST_F(DqlEngineTest, SelectByNameAndStructure) {
   EXPECT_EQ(prev->model_names.size(), 3u);
 }
 
+// A DQL query is untrusted text: a 100 000-byte selector is refused
+// before std::regex compiles it, instead of overflowing the stack.
+TEST_F(DqlEngineTest, OverlongSelectorIsInvalidArgument) {
+  DqlEngine engine(repo_.get());
+  auto result = engine.Run("select m1 where m1[\"" + std::string(100000, 'a') +
+                           "\"].next has POOL(\"MAX\")");
+  EXPECT_TRUE(result.status().IsInvalidArgument())
+      << result.status().ToString();
+}
+
 TEST_F(DqlEngineTest, NotPredicateInverts) {
   DqlEngine engine(repo_.get());
   auto others = engine.Run(

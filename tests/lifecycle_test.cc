@@ -27,7 +27,6 @@
 #include "nn/trainer.h"
 #include "nn/zoo.h"
 #include "pas/archive.h"
-#include "pas/chunk_index.h"
 #include "pas/generation_pins.h"
 
 namespace modelhub {
@@ -322,8 +321,7 @@ TEST(LifecycleGcTest, PinProtectsInFlightParallelRetrieval) {
 // generation 2 through cross-generation dedup must survive sweeps of the
 // superseded generation — even with parallel retrievals in flight on the
 // current generation — and becomes reclaimable only once a later build
-// stops referencing it. Stale chunk-index entries (refcount 0: their data
-// file is gone) are purged and counted.
+// stops referencing it.
 TEST(LifecycleGcTest, SharedChunksSurviveGcUnderConcurrentRetrieval) {
   Env* env = Env::Default();
   const std::string root = ::testing::TempDir() + "/mh_lifecycle_gc_shared";
@@ -382,22 +380,6 @@ TEST(LifecycleGcTest, SharedChunksSurviveGcUnderConcurrentRetrieval) {
   retriever.join();
   EXPECT_EQ(failed.load(), 0);
   EXPECT_GE(max_shared, 1u);
-
-  // Refcount-0 purge: an index entry whose data file is gone (e.g. left
-  // behind by an interrupted sweep) is dropped and counted.
-  {
-    auto index = ChunkIndex::Load(env, pas_dir);
-    ASSERT_TRUE(index.ok());
-    const Hash128 ghost = ContentHash128("ghost", 5);
-    index->AddRef(ghost, "chunks-0.bin", 0, 17);
-    ASSERT_TRUE(index->Save(env, pas_dir).ok());
-    auto purge = RunArchiveGc(env, root);
-    ASSERT_TRUE(purge.ok());
-    EXPECT_EQ(purge->index_entries_purged, 1u);
-    auto reloaded = ChunkIndex::Load(env, pas_dir);
-    ASSERT_TRUE(reloaded.ok());
-    EXPECT_EQ(reloaded->Find(ghost), nullptr);
-  }
 
   // A build that stops referencing the shared file (dedup off rewrites
   // every payload) finally makes it reclaimable. A pin held across the

@@ -72,6 +72,8 @@ TEST(NetworkDefTest, SelectRegex) {
   ASSERT_TRUE(all_convs.ok());
   EXPECT_EQ(all_convs->size(), 13u);
   EXPECT_TRUE(def.Select("conv[").status().IsInvalidArgument());
+  EXPECT_TRUE(
+      def.Select(std::string(100000, 'a')).status().IsInvalidArgument());
 }
 
 TEST(NetworkDefTest, InsertAfterSplitsEdge) {

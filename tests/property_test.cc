@@ -24,7 +24,6 @@
 #include "common/thread_pool.h"
 #include "compress/codec.h"
 #include "pas/archive.h"
-#include "pas/chunk_index.h"
 #include "pas/delta.h"
 #include "pas/float_encoding.h"
 #include "pas/parallel_archiver.h"
@@ -706,11 +705,11 @@ TEST(ParallelArchiverProperty, WorkerCountClampsToSchedulableTasks) {
   EXPECT_EQ(static_cast<int>(stats.plane_codec_ms.size()), kNumPlanes);
 }
 
-// --------------------------------------------------- chunk index / dedup
+// --------------------------------------------------------- chunk dedup
 
 /// One random fine-tune of `base`: sparse (a few weights move), low-rank
 /// (an outer-product update touches everything coherently), or noise
-/// (every weight jitters). The three shapes exercise the chunk index's
+/// (every weight jitters). The three shapes exercise chunk dedup's
 /// full spectrum from "all planes identical" to "nothing shared".
 FloatMatrix MutateParam(const FloatMatrix& base, Rng* rng) {
   FloatMatrix out = base;
@@ -745,10 +744,9 @@ FloatMatrix MutateParam(const FloatMatrix& base, Rng* rng) {
   return out;
 }
 
-// Seeded random fine-tuned families round-trip through the chunk index
-// bit-exactly, and the persisted refcounts are conserved: the saved
-// index matches an independent rebuild from the committed manifest entry
-// for entry, and total references equal exactly four planes per matrix.
+// Seeded random fine-tuned families round-trip through chunk dedup
+// bit-exactly, and plane references are conserved: the manifest holds
+// exactly four plane references per matrix.
 TEST(ChunkDedupProperty, MutatedFamiliesRoundTripWithConservedRefcounts) {
   for (int iter = 0; iter < 3; ++iter) {
     const uint64_t seed = BaseSeed() + 4000 + static_cast<uint64_t>(iter);
@@ -817,29 +815,11 @@ TEST(ChunkDedupProperty, MutatedFamiliesRoundTripWithConservedRefcounts) {
       }
     }
 
-    // Refcount conservation: the saved index equals a from-scratch
-    // rebuild entry for entry, and references sum to 4 planes per
-    // archived matrix — dedup moves references between entries but
-    // never creates or drops one.
-    auto saved = ChunkIndex::Load(&env, "archive");
-    ASSERT_TRUE(saved.ok()) << saved.status().ToString();
-    auto rebuilt = RebuildChunkIndex(&env, "archive");
-    ASSERT_TRUE(rebuilt.ok()) << rebuilt.status().ToString();
-    EXPECT_EQ(saved->generation(), rebuilt->generation());
-    const auto saved_entries = saved->SortedEntries();
-    const auto rebuilt_entries = rebuilt->SortedEntries();
-    ASSERT_EQ(saved_entries.size(), rebuilt_entries.size());
-    for (size_t i = 0; i < saved_entries.size(); ++i) {
-      EXPECT_TRUE(saved_entries[i].hash == rebuilt_entries[i].hash);
-      EXPECT_EQ(saved_entries[i].file, rebuilt_entries[i].file);
-      EXPECT_EQ(saved_entries[i].chunk_id, rebuilt_entries[i].chunk_id);
-      EXPECT_EQ(saved_entries[i].refcount, rebuilt_entries[i].refcount);
-      EXPECT_EQ(saved_entries[i].stored_size,
-                rebuilt_entries[i].stored_size);
-    }
+    // Reference conservation: 4 plane references per archived matrix —
+    // dedup moves references between chunks but never creates or drops
+    // one.
     const uint64_t matrices =
         corpus.names.size() * static_cast<uint64_t>(num_params);
-    EXPECT_EQ(saved->TotalRefs(), matrices * 4);
     EXPECT_EQ(reader->ComputeDedupStats().plane_refs, matrices * 4);
   }
 }

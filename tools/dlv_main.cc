@@ -38,7 +38,6 @@
 #include "lifecycle/gc.h"
 #include "net/client.h"
 #include "pas/archive.h"
-#include "pas/chunk_index.h"
 #include "router/router.h"
 #include "server/modelhubd.h"
 
@@ -471,35 +470,25 @@ int CmdGc(Env* env, const std::string& root, bool dry_run) {
   return 0;
 }
 
-/// `dlv dedup-stats`: how much the content-addressed chunk index is
-/// saving on this repository's committed archive generation.
+/// `dlv dedup-stats`: how much content-addressed chunk dedup is saving on
+/// this repository's committed archive generation.
 int CmdDedupStats(Env* env, const std::string& root, bool json) {
-  const std::string pas_dir = repo_layout::PasDir(root);
-  auto reader = ArchiveReader::Open(env, pas_dir);
+  auto reader = ArchiveReader::Open(env, repo_layout::PasDir(root));
   if (!reader.ok()) return Fail(reader.status());
   const ArchiveDedupStats stats = reader->ComputeDedupStats();
-  uint64_t index_entries = 0;
-  uint64_t index_refs = 0;
-  if (auto index = ChunkIndex::Load(env, pas_dir); index.ok()) {
-    index_entries = index->size();
-    index_refs = index->TotalRefs();
-  }
   if (json) {
     std::printf(
         "{\"generation\": %llu, \"plane_refs\": %llu, "
         "\"unique_chunks\": %llu, \"shared_refs\": %llu, "
         "\"cross_file_refs\": %llu, \"logical_bytes\": %llu, "
-        "\"stored_bytes\": %llu, \"dedup_ratio\": %.4f, "
-        "\"index_entries\": %llu, \"index_refs\": %llu}\n",
+        "\"stored_bytes\": %llu, \"dedup_ratio\": %.4f}\n",
         static_cast<unsigned long long>(reader->generation()),
         static_cast<unsigned long long>(stats.plane_refs),
         static_cast<unsigned long long>(stats.unique_chunks),
         static_cast<unsigned long long>(stats.shared_refs),
         static_cast<unsigned long long>(stats.cross_file_refs),
         static_cast<unsigned long long>(stats.logical_bytes),
-        static_cast<unsigned long long>(stats.stored_bytes), stats.ratio(),
-        static_cast<unsigned long long>(index_entries),
-        static_cast<unsigned long long>(index_refs));
+        static_cast<unsigned long long>(stats.stored_bytes), stats.ratio());
     return 0;
   }
   std::printf(
@@ -508,17 +497,14 @@ int CmdDedupStats(Env* env, const std::string& root, bool json) {
       "%llu cross-generation)\n"
       "  logical bytes      %llu\n"
       "  stored bytes       %llu\n"
-      "  dedup ratio        %.2fx\n"
-      "  chunk index        %llu entry(s), %llu reference(s)\n",
+      "  dedup ratio        %.2fx\n",
       static_cast<unsigned long long>(reader->generation()),
       static_cast<unsigned long long>(stats.plane_refs),
       static_cast<unsigned long long>(stats.unique_chunks),
       static_cast<unsigned long long>(stats.shared_refs),
       static_cast<unsigned long long>(stats.cross_file_refs),
       static_cast<unsigned long long>(stats.logical_bytes),
-      static_cast<unsigned long long>(stats.stored_bytes), stats.ratio(),
-      static_cast<unsigned long long>(index_entries),
-      static_cast<unsigned long long>(index_refs));
+      static_cast<unsigned long long>(stats.stored_bytes), stats.ratio());
   return 0;
 }
 
