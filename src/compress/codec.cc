@@ -43,9 +43,9 @@ class NullCodec : public Codec {
   }
 };
 
-/// Per-codec instrument set, resolved once per CodecType. `CompressedSize`
-/// runs inside solver cost loops, so the steady-state cost here must stay
-/// at a clock pair plus a handful of relaxed atomic adds.
+/// Per-codec instrument set, resolved once per CodecType. `Compress` runs
+/// inside the archive's per-edge cost loop, so the steady-state cost here
+/// must stay at a clock pair plus a handful of relaxed atomic adds.
 struct CodecInstruments {
   Counter* encode_calls;
   Counter* encode_in_bytes;

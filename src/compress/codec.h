@@ -51,7 +51,9 @@ class Codec {
   virtual Status DoDecompress(Slice input, std::string* output) const = 0;
 };
 
-/// Convenience: compressed size of `input` under `type` (for cost models).
+/// Convenience: compressed size of `input` under `type`, with no raw
+/// fallback. The archive's cost model charges EncodeChunk's output
+/// (pas/chunk_store.h) instead, which is never larger than the null frame.
 size_t CompressedSize(CodecType type, Slice input);
 
 }  // namespace modelhub

@@ -123,12 +123,16 @@ Result<ManifestFileHeader> ParseManifestFileHeader(const std::string& framed,
   return header;
 }
 
-/// Compressed size of all four byte planes of `m` under `codec`.
+/// Stored size of all four byte planes of `m` under `codec`: each plane
+/// is encoded as the archive stores it (EncodeChunk), so a plane the codec
+/// cannot shrink is charged at its raw frame size.
 double SegmentedCompressedSize(const FloatMatrix& m, CodecType codec) {
   const auto planes = SegmentFloats(m);
   double total = 0.0;
+  std::string encoded;
   for (const std::string& plane : planes) {
-    total += static_cast<double>(CompressedSize(codec, Slice(plane)));
+    MH_CHECK(EncodeChunk(Slice(plane), codec, &encoded).ok());
+    total += static_cast<double>(encoded.size());
   }
   return total;
 }
@@ -1305,10 +1309,11 @@ ParallelArchiver::DedupContext ArchiveBuilder::PriorChunks() const {
       const uint32_t slot = meta.slots[p];
       const uint32_t id = meta.chunk_ids[p];
       // A chunk whose stored bytes fail their CRC is never offered.
-      auto payload = reader->stores_[slot]->GetCompressed(id);
+      const ChunkStoreReader& store = *reader->stores_[slot];
+      auto payload = store.GetCompressed(id);
       if (!payload.ok()) continue;
-      // First (slot, chunk id) seen wins for a hash stored more than once.
-      prior.prior.emplace(ContentHash128(Slice(*payload)),
+      // First (slot, chunk id) seen wins for a key stored more than once.
+      prior.prior.emplace(StoredChunkKey(store.ref(id).codec, Slice(*payload)),
                           ParallelArchiver::DedupContext::PriorChunk{
                               static_cast<int>(slot), id});
     }

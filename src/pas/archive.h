@@ -77,11 +77,11 @@ struct ArchiveOptions {
   /// alpha so their recreation stays cheap, cold ones a loose alpha so
   /// they compress harder). Snapshots not listed use budget_alpha.
   std::map<std::string, double> group_budget_alpha;
-  /// Content-addressed chunk dedup (DESIGN.md §15). The committer hashes
-  /// every compressed plane chunk and stores identical content once —
-  /// within the build, and across generations by hashing the chunks the
-  /// committed manifest references. Dedup only changes *where* chunks
-  /// live, never the storage plan or any retrieved byte.
+  /// Content-addressed chunk dedup (DESIGN.md §15). The committer keys
+  /// every stored plane chunk on its codec and bytes and stores identical
+  /// content once — within the build, and across generations by keying
+  /// the chunks the committed manifest references. Dedup only changes
+  /// *where* chunks live, never the storage plan or any retrieved byte.
   bool enable_dedup = true;
   /// Similarity-based delta pairing: per-parameter minhash sketches over
   /// the high-order float bytes propose delta parents by content distance
@@ -137,8 +137,9 @@ struct SnapshotSpec {
 /// `options`' codec, delta_kind and recreation_raw_weight; with
 /// enable_remote_tier every edge gets a remote twin. Exposed so benchmarks
 /// can solve one graph under many budget settings. When `pool` is non-null
-/// the per-edge cost model (trial delta + compression per candidate edge)
-/// is evaluated on it; edges are still added in deterministic candidate
+/// the per-edge cost model (trial delta + EncodeChunk per plane of every
+/// candidate edge, so `cs` is the bytes the archive would store) is
+/// evaluated on it; edges are still added in deterministic candidate
 /// order, so the graph is identical with or without a pool.
 ///
 /// `vertex_pairs` are matrix-level delta-parent candidates (similarity
@@ -330,16 +331,17 @@ class ArchiveReader {
   }
 
   /// Enables the chunk cache so progressive escalation from k to k+1
-  /// planes fetches only the new plane chunks. The cache is a byte-
-  /// bounded LRU (ChunkStoreReader::kDefaultCacheCapacity per store);
-  /// see SetChunkCacheCapacity.
+  /// planes decodes only the new plane chunks (raw planes of a mapped
+  /// store are re-read in place instead, see ChunkStoreReader::Get). The
+  /// cache is a byte-bounded LRU (ChunkStoreReader::kDefaultCacheCapacity
+  /// per store); see SetChunkCacheCapacity.
   void EnableChunkCache(bool enable) {
     for (const auto& store : stores_) {
       if (store != nullptr) store->EnableCache(enable);
     }
   }
 
-  /// Bounds each underlying store's decompressed-chunk cache to `bytes`,
+  /// Bounds each underlying store's decoded-chunk cache to `bytes`,
   /// evicting least-recently-used chunks beyond it.
   void SetChunkCacheCapacity(uint64_t bytes) {
     for (const auto& store : stores_) {

@@ -14,7 +14,23 @@ constexpr char kHeaderMagic[] = "MHCS1\n";
 constexpr size_t kHeaderSize = 6;
 constexpr char kTailMagic[] = "MHCSEND1";
 constexpr size_t kTailSize = 8;
+
+/// Size of the null codec's frame for an n-byte payload: varint(n) + n.
+uint64_t NullFrameSize(uint64_t n) {
+  uint64_t size = n + 1;
+  for (; n >= 0x80; n >>= 7) ++size;
+  return size;
+}
 }  // namespace
+
+Result<CodecType> EncodeChunk(Slice raw, CodecType codec, std::string* out) {
+  if (codec != CodecType::kNull) {
+    MH_RETURN_IF_ERROR(Codec::Get(codec)->Compress(raw, out));
+    if (out->size() < NullFrameSize(raw.size())) return codec;
+  }
+  MH_RETURN_IF_ERROR(Codec::Get(CodecType::kNull)->Compress(raw, out));
+  return CodecType::kNull;
+}
 
 ChunkStoreWriter::ChunkStoreWriter(Env* env, std::string path)
     : env_(env), path_(std::move(path)) {
@@ -25,9 +41,10 @@ Result<uint32_t> ChunkStoreWriter::Put(Slice raw, CodecType codec) {
   if (finished_) {
     return Status::FailedPrecondition("Put after Finish");
   }
-  std::string compressed;
-  MH_RETURN_IF_ERROR(Codec::Get(codec)->Compress(raw, &compressed));
-  return PutCompressed(Slice(compressed), raw.size(), codec);
+  std::string encoded;
+  MH_ASSIGN_OR_RETURN(const CodecType stored_codec,
+                      EncodeChunk(raw, codec, &encoded));
+  return PutCompressed(Slice(encoded), raw.size(), stored_codec);
 }
 
 Result<uint32_t> ChunkStoreWriter::PutCompressed(Slice compressed,
@@ -115,6 +132,12 @@ Result<ChunkStoreReader> ChunkStoreReader::Open(Env* env,
     MH_RETURN_IF_ERROR(GetFixed64(&in, &ref.raw_size));
     MH_RETURN_IF_ERROR(GetFixed32(&in, &ref.crc));
     if (in.empty()) return Status::Corruption("chunk store truncated index");
+    if (static_cast<uint8_t>(in[0]) >
+        static_cast<uint8_t>(CodecType::kDeflateLite)) {
+      return Status::Corruption("chunk store unknown codec " +
+                                std::to_string(static_cast<uint8_t>(in[0])) +
+                                ": " + path + " chunk " + std::to_string(i));
+    }
     ref.codec = static_cast<CodecType>(in[0]);
     in.RemovePrefix(1);
     if (ref.offset < kHeaderSize || ref.stored_size > index_offset ||
@@ -176,7 +199,11 @@ Result<std::string> ChunkStoreReader::Get(uint32_t id,
   }
   ChunkStoreStats unused;
   ChunkStoreStats& sink = call != nullptr ? *call : unused;
-  {
+  const ChunkRef& ref = refs_[id];
+  // A mapped raw chunk decodes at memcpy speed straight from the page
+  // cache, so caching it would only evict chunks that cost a decode.
+  const bool in_place = ref.codec == CodecType::kNull && mapping_ != nullptr;
+  if (!in_place) {
     std::lock_guard<std::mutex> lock(*mutex_);
     if (cache_enabled_) {
       auto it = cache_.find(id);
@@ -189,15 +216,23 @@ Result<std::string> ChunkStoreReader::Get(uint32_t id,
       }
     }
   }
-  MH_COUNTER("pas.chunk.cache.miss")->Increment();
+  if (!in_place) MH_COUNTER("pas.chunk.cache.miss")->Increment();
   const auto fetch_start = std::chrono::steady_clock::now();
-  const ChunkRef& ref = refs_[id];
   std::string scratch;
   MH_ASSIGN_OR_RETURN(const Slice stored, ReadStored(id, &scratch));
   std::string raw;
   MH_RETURN_IF_ERROR(Codec::Get(ref.codec)->Decompress(stored, &raw));
   if (raw.size() != ref.raw_size) {
     return Status::Corruption("chunk raw size mismatch");
+  }
+  if (in_place) {
+    stats_->bytes_read.fetch_add(ref.stored_size, std::memory_order_relaxed);
+    stats_->chunk_fetches.fetch_add(1, std::memory_order_relaxed);
+    sink.bytes_read += ref.stored_size;
+    ++sink.chunk_fetches;
+    MH_COUNTER("pas.chunk.read.raw")->Increment();
+    MH_COUNTER("pas.chunk.read.raw.bytes")->Add(ref.stored_size);
+    return raw;
   }
   {
     std::lock_guard<std::mutex> lock(*mutex_);

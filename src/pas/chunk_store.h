@@ -25,15 +25,26 @@ struct ChunkRef {
   CodecType codec = CodecType::kNull;
 };
 
+/// Encodes one chunk payload, the one rule for what a chunk stores:
+/// `raw` under `codec` when that frame is strictly smaller than the null
+/// frame (varint(n) + n), else the null frame. Returns the codec `*out` is
+/// in, which the chunk's ChunkRef records. A byte plane the codec cannot
+/// shrink is thus stored raw: it costs no decode, and a mapped reader
+/// serves it in place (ChunkStoreReader::Get). ChunkStoreWriter::Put, the
+/// archival pipeline's per-plane codec task and the storage-graph cost
+/// model all encode through it, so the model charges the bytes stored.
+Result<CodecType> EncodeChunk(Slice raw, CodecType codec, std::string* out);
+
 /// Read-side counters of one chunk store (monotonic except cache_bytes).
-/// `bytes_read`/`chunk_fetches` count only real disk fetches; cache hits
-/// are free once a chunk is in memory.
+/// `bytes_read`/`chunk_fetches` count only real reads of stored bytes
+/// (disk fetches and in-place reads of mapped raw chunks); cache hits are
+/// free once a chunk is in memory.
 struct ChunkStoreStats {
-  uint64_t bytes_read = 0;      ///< Compressed bytes fetched from disk.
-  uint64_t chunk_fetches = 0;   ///< Get calls that went to disk.
+  uint64_t bytes_read = 0;      ///< Stored bytes read (fetches only).
+  uint64_t chunk_fetches = 0;   ///< Get calls that read stored bytes.
   uint64_t cache_hits = 0;      ///< Get calls served from the cache.
   uint64_t cache_evictions = 0; ///< Chunks evicted to honor the bound.
-  uint64_t cache_bytes = 0;     ///< Decompressed bytes currently cached.
+  uint64_t cache_bytes = 0;     ///< Decoded bytes currently cached.
 };
 
 /// Write-once chunk file builder. PAS archives are built in one pass and
@@ -46,13 +57,14 @@ class ChunkStoreWriter {
  public:
   ChunkStoreWriter(Env* env, std::string path);
 
-  /// Compresses `raw` with `codec` and schedules it; returns the chunk id.
+  /// Encodes `raw` through EncodeChunk (so a payload `codec` cannot
+  /// shrink is stored raw) and schedules it; returns the chunk id.
   Result<uint32_t> Put(Slice raw, CodecType codec);
 
-  /// Appends an already-compressed chunk. `compressed` must be exactly what
-  /// `Codec::Get(codec)->Compress` produces for a `raw_size`-byte payload:
-  /// the resulting file is byte-identical to Put(raw, codec). This is the
-  /// committer half of the parallel archival pipeline — workers compress
+  /// Appends an already-encoded chunk. `compressed` and `codec` must be
+  /// exactly what EncodeChunk produces for a `raw_size`-byte payload: the
+  /// resulting file is byte-identical to Put(raw, requested codec). This is
+  /// the committer half of the parallel archival pipeline — workers encode
   /// off-thread, ordered appends stay on one thread.
   Result<uint32_t> PutCompressed(Slice compressed, uint64_t raw_size,
                                  CodecType codec);
@@ -60,16 +72,19 @@ class ChunkStoreWriter {
   /// Number of chunks scheduled so far.
   uint32_t num_chunks() const { return static_cast<uint32_t>(refs_.size()); }
 
-  /// Compressed payload bytes of a scheduled chunk, viewing the in-memory
+  /// Stored payload bytes of a scheduled chunk, viewing the in-memory
   /// file image. Valid until the next Put/PutCompressed (the buffer may
-  /// reallocate). The dedup committer byte-compares hash-equal chunks
-  /// through this before sharing, so a 128-bit collision can never alias
-  /// two different payloads within one build.
+  /// reallocate). The dedup committer compares the codec and these bytes
+  /// of hash-equal chunks before sharing, so a 128-bit collision can never
+  /// alias two different payloads within one build.
   Slice payload(uint32_t id) const {
     const ChunkRef& ref = refs_[id];
     return Slice(data_.data() + ref.offset,
                  static_cast<size_t>(ref.stored_size));
   }
+
+  /// The codec a scheduled chunk's payload is in.
+  CodecType codec(uint32_t id) const { return refs_[id].codec; }
 
   /// Writes the file. No Put may follow.
   Status Finish();
@@ -104,7 +119,9 @@ class ChunkStoreReader {
   /// the page cache. Envs without MapFile (MemEnv, FaultInjectionEnv)
   /// fall back to ranged read() fetches — the crash-injection sweeps
   /// exercise that path by construction. Chunk files are write-once
-  /// (tmp + rename), so an open mapping never observes a rewrite.
+  /// (tmp + rename), so an open mapping never observes a rewrite. The
+  /// footer index carries no checksum, so an index entry naming a codec
+  /// this build does not know is Corruption here, never a null decode.
   static Result<ChunkStoreReader> Open(Env* env, const std::string& path);
 
   uint32_t num_chunks() const { return static_cast<uint32_t>(refs_.size()); }
@@ -120,6 +137,14 @@ class ChunkStoreReader {
   /// fetch, fetched bytes and the evictions it caused are also added to
   /// `*call` (a per-call sink with a single writer; cache_bytes is left
   /// alone).
+  ///
+  /// A raw (kNull) chunk of a mapped file is read in place: it skips the
+  /// cache (lookup and admission), so the cache holds only chunks that
+  /// cost a decode. Its stored bytes are still CRC-checked on every read
+  /// and its frame and raw size still checked. It counts as one fetch of
+  /// its stored bytes here and in `*call`; the registry counts it under
+  /// pas.chunk.read.raw{,.bytes}, not pas.chunk.cache.* or
+  /// pas.chunk.fetch.*, which keep meaning decoded-chunk lookups.
   Result<std::string> Get(uint32_t id, ChunkStoreStats* call = nullptr) const;
 
   /// Integrity check of chunk `id` without decompression: re-reads the
@@ -160,11 +185,11 @@ class ChunkStoreReader {
     return out;
   }
 
-  /// Enables the in-memory decompressed-chunk cache (LRU, byte-bounded by
-  /// SetCacheCapacity). Progressive query evaluation uses this so
-  /// escalating from k to k+1 planes fetches only the new plane chunks
-  /// (Sec. IV-D's "progressively uncompress" behavior). Disabling drops
-  /// all cached chunks.
+  /// Enables the in-memory decoded-chunk cache (LRU, byte-bounded by
+  /// SetCacheCapacity; mapped raw chunks are never cached, see Get).
+  /// Progressive query evaluation uses this so escalating from k to k+1
+  /// planes decodes only the new plane chunks (Sec. IV-D's "progressively
+  /// uncompress" behavior). Disabling drops all cached chunks.
   void EnableCache(bool enable);
 
   /// Sets the cache bound in decompressed bytes and evicts down to it.

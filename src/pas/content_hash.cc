@@ -102,4 +102,12 @@ Hash128 ContentHash128(const void* data, size_t size) {
   return Hash128{h1, h2};
 }
 
+Hash128 StoredChunkKey(CodecType codec, Slice stored) {
+  Hash128 key = ContentHash128(stored);
+  // FMix64 is a bijection, so for any one codec the keys collide exactly
+  // when the content hashes do.
+  key.hi = FMix64(key.hi ^ (static_cast<uint64_t>(codec) + 1));
+  return key;
+}
+
 }  // namespace modelhub

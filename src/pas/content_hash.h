@@ -5,6 +5,7 @@
 #include <cstdint>
 
 #include "common/slice.h"
+#include "compress/codec.h"
 
 namespace modelhub {
 
@@ -34,6 +35,11 @@ Hash128 ContentHash128(const void* data, size_t size);
 inline Hash128 ContentHash128(Slice data) {
   return ContentHash128(data.data(), data.size());
 }
+
+/// Dedup key of one stored chunk: the content hash of its stored bytes,
+/// salted with the codec those bytes are in. Equal bytes under two codecs
+/// get different keys, so dedup never shares a chunk across codecs.
+Hash128 StoredChunkKey(CodecType codec, Slice stored);
 
 }  // namespace modelhub
 

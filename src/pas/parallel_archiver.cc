@@ -16,10 +16,13 @@ namespace modelhub {
 
 namespace {
 
-/// Output of one job's encode stage: the four compressed plane payloads
-/// plus the raw plane size PutCompressed records in each chunk ref.
+/// Output of one job's encode stage: the four encoded plane payloads, the
+/// codec each is in (EncodeChunk's choice), and the raw plane size
+/// PutCompressed records in each chunk ref.
 struct EncodedPayload {
   std::string planes[kNumPlanes];
+  CodecType codecs[kNumPlanes] = {CodecType::kNull, CodecType::kNull,
+                                  CodecType::kNull, CodecType::kNull};
   uint64_t raw_plane_bytes = 0;
 };
 
@@ -60,9 +63,9 @@ void EncodeTile(const ParallelArchiver::Job& job, const TileShape& shape,
                      planes);
 }
 
-/// Chunks appended to one destination store this build, by content hash.
-/// Committer-thread state, so no locking: CommitJob runs in job order on
-/// the caller's thread.
+/// Chunks appended to one destination store this build, by StoredChunkKey
+/// (codec and stored bytes). Committer-thread state, so no locking:
+/// CommitJob runs in job order on the caller's thread.
 using IntraDedupMap =
     std::unordered_map<const ChunkStoreWriter*,
                        std::unordered_map<Hash128, uint32_t, Hash128Hasher>>;
@@ -73,11 +76,12 @@ using IntraDedupMap =
 /// order, never of the parallel encode stage.
 Result<ParallelArchiver::Placement> CommitJob(
     const ParallelArchiver::Job& job, const EncodedPayload& payload,
-    CodecType codec, const ParallelArchiver::DedupContext* dedup,
-    IntraDedupMap* intra, ArchivePipelineStats* stats) {
+    const ParallelArchiver::DedupContext* dedup, IntraDedupMap* intra,
+    ArchivePipelineStats* stats) {
   ParallelArchiver::Placement placement;
   for (int p = 0; p < kNumPlanes; ++p) {
     const Slice plane(payload.planes[p]);
+    const CodecType codec = payload.codecs[p];
     if (dedup == nullptr) {
       MH_ASSIGN_OR_RETURN(
           placement.chunk_ids[p],
@@ -85,7 +89,7 @@ Result<ParallelArchiver::Placement> CommitJob(
                                          codec));
       continue;
     }
-    const Hash128 hash = ContentHash128(plane);
+    const Hash128 hash = StoredChunkKey(codec, plane);
     if (auto it = dedup->prior.find(hash); it != dedup->prior.end()) {
       placement.prior_file[p] = it->second.file;
       placement.chunk_ids[p] = it->second.chunk_id;
@@ -97,6 +101,7 @@ Result<ParallelArchiver::Placement> CommitJob(
     }
     auto& seen = (*intra)[job.destination];
     if (auto it = seen.find(hash); it != seen.end() &&
+        job.destination->codec(it->second) == codec &&
         job.destination->payload(it->second) == plane) {
       placement.chunk_ids[p] = it->second;
       if (stats != nullptr) {
@@ -203,7 +208,6 @@ Result<std::vector<ParallelArchiver::Placement>> ParallelArchiver::Run(
   }
   std::vector<Placement> placements;
   placements.reserve(jobs.size());
-  const Codec* compressor = Codec::Get(codec);
 
   // --- The pipeline, on `workers` pool threads (one is enough: the
   // caller thread commits). Tile tasks fill each job's shared plane
@@ -242,7 +246,7 @@ Result<std::vector<ParallelArchiver::Placement>> ParallelArchiver::Run(
       state->tiles_left.store(shape.num_tiles, std::memory_order_relaxed);
       state->tile_ms.assign(static_cast<size_t>(shape.num_tiles), 0.0);
       for (int t = 0; t < shape.num_tiles; ++t) {
-        pool.Schedule(&done, [job, shape, t, state, compressor, &pool, &done,
+        pool.Schedule(&done, [job, shape, t, state, codec, &pool, &done,
                               &mutex, &slot_ready] {
           Stopwatch tile_watch;
           std::vector<float> slab;
@@ -253,15 +257,17 @@ Result<std::vector<ParallelArchiver::Placement>> ParallelArchiver::Run(
             return;
           }
           // Last tile of this job: the planes are fully assembled — hand
-          // them to four per-plane codec tasks. Compressing whole planes
+          // them to four per-plane codec tasks. Encoding whole planes
           // (never per tile) keeps the chunk payloads invariant to the
-          // tile size.
+          // tile size; EncodeChunk stores a plane the codec cannot shrink
+          // raw, exactly as ChunkStoreWriter::Put would.
           for (int p = 0; p < kNumPlanes; ++p) {
-            pool.Schedule(&done, [state, p, compressor, &mutex,
-                                  &slot_ready] {
+            pool.Schedule(&done, [state, p, codec, &mutex, &slot_ready] {
               Stopwatch plane_watch;
-              state->plane_status[p] = compressor->Compress(
-                  Slice(state->planes[p]), &state->payload.planes[p]);
+              auto stored_codec = EncodeChunk(Slice(state->planes[p]), codec,
+                                              &state->payload.planes[p]);
+              state->plane_status[p] = stored_codec.status();
+              if (stored_codec.ok()) state->payload.codecs[p] = *stored_codec;
               state->plane_ms[p] = plane_watch.ElapsedMillis();
               if (state->planes_left.fetch_sub(
                       1, std::memory_order_acq_rel) != 1) {
@@ -312,8 +318,7 @@ Result<std::vector<ParallelArchiver::Placement>> ParallelArchiver::Run(
       }
       RecordJobStats(state.payload, state.encode_ms, state.tile_ms,
                      state.plane_ms, stats);
-      auto placement =
-          CommitJob(jobs[i], state.payload, codec, dedup, &intra, stats);
+      auto placement = CommitJob(jobs[i], state.payload, dedup, &intra, stats);
       if (!placement.ok()) {
         first_error = placement.status();
         break;

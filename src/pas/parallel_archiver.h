@@ -39,7 +39,7 @@ struct ArchivePipelineStats {
                               ///< the schedulable task count).
   int tiles = 0;              ///< Total delta+segment tiles encoded.
   uint64_t raw_bytes = 0;     ///< Uncompressed payload bytes encoded.
-  uint64_t compressed_bytes = 0;
+  uint64_t compressed_bytes = 0;  ///< Encoded (stored-form) plane bytes.
   double encode_ms_total = 0.0;  ///< Sum of per-job encode latencies.
   double commit_ms = 0.0;        ///< Serial committer stage (ordered appends).
   double wall_ms = 0.0;          ///< Whole pipeline wall time.
@@ -65,8 +65,10 @@ struct ArchivePipelineStats {
 /// tiles; a tile task computes the delta for its rows and scatters the
 /// byte planes into the job's shared plane buffers (disjoint ranges, so
 /// tiles run concurrently without synchronization on the data). When a
-/// job's last tile lands, four per-plane codec tasks compress the
-/// assembled planes. The ordering-sensitive tail — chunk-store appends,
+/// job's last tile lands, four per-plane codec tasks encode the assembled
+/// planes through EncodeChunk: each plane is stored under the requested
+/// codec when that shrinks it, else raw (kNull), and the committer records
+/// the codec per chunk. The ordering-sensitive tail — chunk-store appends,
 /// and the caller's manifest/journal writes after Run returns — stays on
 /// the calling thread, in job order.
 ///
@@ -104,11 +106,11 @@ class ParallelArchiver {
     int32_t prior_file[kNumPlanes] = {-1, -1, -1, -1};
   };
 
-  /// Cross-generation dedup input for Run: compressed plane payloads whose
-  /// content hash is in `prior` are referenced in place instead of being
-  /// re-appended. The builder derives it from the committed manifest
-  /// (DESIGN.md §15). Purely advisory — an empty context (or nullptr)
-  /// makes Run behave exactly as before.
+  /// Cross-generation dedup input for Run: encoded plane payloads whose
+  /// StoredChunkKey (codec and stored bytes) is in `prior` are referenced
+  /// in place instead of being re-appended. The builder derives it from
+  /// the committed manifest (DESIGN.md §15). Purely advisory — an empty
+  /// context (or nullptr) makes Run behave exactly as before.
   struct DedupContext {
     struct PriorChunk {
       int file = 0;          ///< Index into prior_files.
@@ -128,13 +130,14 @@ class ParallelArchiver {
   /// the build, which is safe because nothing was published. `tile_rows`
   /// follows ResolveTileRows (0 = auto).
   ///
-  /// With a non-null `dedup`, the committer content-hashes every
-  /// compressed plane and (a) references a prior generation's chunk on a
+  /// With a non-null `dedup`, the committer keys every encoded plane by
+  /// StoredChunkKey and (a) references a prior generation's chunk on a
   /// `dedup->prior` hit, (b) shares an identical chunk already appended to
-  /// the same destination store this build (after a byte compare), or
-  /// (c) appends as usual and remembers the hash. All dedup decisions run
-  /// on the caller's thread in job order, so placements — like the archive
-  /// bytes — are identical for every thread count and tile size.
+  /// the same destination store this build (after comparing codec and
+  /// bytes), or (c) appends as usual and remembers the key. All dedup
+  /// decisions run on the caller's thread in job order, so placements —
+  /// like the archive bytes — are identical for every thread count and
+  /// tile size.
   static Result<std::vector<Placement>> Run(const std::vector<Job>& jobs,
                                             CodecType codec, int threads,
                                             ArchivePipelineStats* stats = nullptr,

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <mutex>
 #include <thread>
 #include <tuple>
@@ -9,6 +10,7 @@
 #include "common/coding.h"
 #include "common/env.h"
 #include "common/fault_env.h"
+#include "common/metrics.h"
 #include "common/thread_pool.h"
 #include "common/random.h"
 #include "data/dataset.h"
@@ -329,6 +331,114 @@ TEST(ChunkStoreTest, VerifyRetriesOneTransientReadFault) {
   env.FailNextRead();
   const Status verified = reader->Verify(0);
   EXPECT_TRUE(verified.ok()) << verified.ToString();
+}
+
+TEST(ChunkStoreTest, PlaneThatDoesNotShrinkIsStoredRaw) {
+  // A payload the codec cannot shrink below the null frame
+  // (varint(n) + n) is stored in that frame under kNull; one it can
+  // shrink keeps the codec. Both read back unchanged.
+  MemEnv env;
+  ChunkStoreWriter writer(&env, "s.bin");
+  Rng rng(5);
+  std::string noise(4096, '\0');
+  for (auto& c : noise) c = static_cast<char>(rng.Uniform(256));
+  std::string skewed(4096, '\0');
+  for (auto& c : skewed) c = static_cast<char>(rng.Uniform(4));
+  ASSERT_TRUE(writer.Put(Slice(noise), CodecType::kDeflateLite).ok());
+  ASSERT_TRUE(writer.Put(Slice(skewed), CodecType::kDeflateLite).ok());
+  ASSERT_TRUE(writer.Finish().ok());
+  auto reader = ChunkStoreReader::Open(&env, "s.bin");
+  ASSERT_TRUE(reader.ok());
+  EXPECT_EQ(reader->ref(0).codec, CodecType::kNull);
+  EXPECT_EQ(reader->ref(0).stored_size, noise.size() + 2);  // varint(4096)
+  EXPECT_EQ(reader->ref(1).codec, CodecType::kDeflateLite);
+  EXPECT_LT(reader->ref(1).stored_size, skewed.size());
+  auto got_noise = reader->Get(0);
+  auto got_skewed = reader->Get(1);
+  ASSERT_TRUE(got_noise.ok());
+  ASSERT_TRUE(got_skewed.ok());
+  EXPECT_EQ(*got_noise, noise);
+  EXPECT_EQ(*got_skewed, skewed);
+}
+
+TEST(ChunkStoreTest, MappedRawChunkIsReadInPlace) {
+  // On a mapped file a raw chunk is served from the mapping and never
+  // cached: the cache holds only the chunk that cost a decode. Each raw
+  // Get is still one fetch of its stored bytes, CRC-checked every time.
+  Env* env = Env::Default();
+  const std::string dir = ::testing::TempDir() + "/mh_chunk_raw_in_place";
+  ASSERT_TRUE(env->CreateDirs(dir).ok());
+  const std::string path = dir + "/s.bin";
+  ChunkStoreWriter writer(env, path);
+  Rng rng(7);
+  std::string noise(4096, '\0');
+  for (auto& c : noise) c = static_cast<char>(rng.Uniform(256));
+  std::string skewed(4096, '\0');
+  for (auto& c : skewed) c = static_cast<char>(rng.Uniform(4));
+  ASSERT_TRUE(writer.Put(Slice(noise), CodecType::kDeflateLite).ok());
+  ASSERT_TRUE(writer.Put(Slice(skewed), CodecType::kDeflateLite).ok());
+  ASSERT_TRUE(writer.Finish().ok());
+  auto reader = ChunkStoreReader::Open(env, path);
+  ASSERT_TRUE(reader.ok());
+  ASSERT_EQ(reader->ref(0).codec, CodecType::kNull);
+  ASSERT_EQ(reader->ref(1).codec, CodecType::kDeflateLite);
+  reader->EnableCache(true);
+  const Counter* raw_reads =
+      MetricRegistry::Global()->GetCounter("pas.chunk.read.raw");
+  const uint64_t raw_reads_before = raw_reads->value();
+  for (int round = 0; round < 2; ++round) {
+    ChunkStoreStats call;
+    auto raw = reader->Get(0, &call);
+    ASSERT_TRUE(raw.ok());
+    EXPECT_EQ(*raw, noise);
+    EXPECT_EQ(call.chunk_fetches, 1u);
+    EXPECT_EQ(call.cache_hits, 0u);
+    EXPECT_EQ(call.bytes_read, reader->ref(0).stored_size);
+    auto decoded = reader->Get(1);
+    ASSERT_TRUE(decoded.ok());
+    EXPECT_EQ(*decoded, skewed);
+  }
+  EXPECT_EQ(raw_reads->value() - raw_reads_before, 2u);
+  const ChunkStoreStats stats = reader->stats();
+  EXPECT_EQ(stats.cache_bytes, skewed.size());
+  EXPECT_EQ(stats.chunk_fetches, 3u);  // Two raw reads, one decode.
+  EXPECT_EQ(stats.cache_hits, 1u);
+  EXPECT_EQ(stats.bytes_read,
+            2 * reader->ref(0).stored_size + reader->ref(1).stored_size);
+
+  // The in-place read keeps the checksum: a flipped payload byte of the
+  // raw chunk is Corruption through a fresh reader's mapping.
+  auto contents = env->ReadFile(path);
+  ASSERT_TRUE(contents.ok());
+  std::string corrupted = *contents;
+  corrupted[static_cast<size_t>(reader->ref(0).offset) + 100] ^= 0x40;
+  ASSERT_TRUE(env->WriteFile(path, corrupted).ok());
+  auto fresh = ChunkStoreReader::Open(env, path);
+  ASSERT_TRUE(fresh.ok());
+  EXPECT_TRUE(fresh->Get(0).status().IsCorruption());
+  EXPECT_TRUE(fresh->Get(1).ok());
+}
+
+TEST(ChunkStoreTest, UnknownCodecIdIsCorruption) {
+  // The footer index has no checksum of its own, so a codec byte this
+  // build does not know must fail Open, not decode as the null codec.
+  MemEnv env;
+  ChunkStoreWriter writer(&env, "s.bin");
+  const std::string data(4096, 'q');
+  ASSERT_TRUE(writer.Put(Slice(data), CodecType::kNull).ok());
+  ASSERT_TRUE(writer.Finish().ok());
+  auto contents = env.ReadFile("s.bin");
+  ASSERT_TRUE(contents.ok());
+  std::string bad = *contents;
+  // Tail: fixed64 index offset | fixed64 count | 8-byte magic. An index
+  // entry is offset, stored size, raw size (fixed64 each), crc (fixed32),
+  // then the codec byte.
+  Slice tail(bad.data() + bad.size() - 24, 8);
+  uint64_t index_offset = 0;
+  ASSERT_TRUE(GetFixed64(&tail, &index_offset).ok());
+  bad[static_cast<size_t>(index_offset) + 28] = 0x7F;
+  ASSERT_TRUE(env.WriteFile("s.bin", bad).ok());
+  EXPECT_TRUE(ChunkStoreReader::Open(&env, "s.bin").status().IsCorruption());
 }
 
 // --------------------------------------------------------------- Archive
@@ -664,20 +774,53 @@ TEST_F(ArchiveTest, ParallelRetrievalMatchesSequential) {
                   .IsNotFound());
 }
 
-// Fixture with >= 4-deep delta chains: six checkpoints of one training
+/// `count` checkpoints of a seeded drift: snapshot 0 holds gaussian
+/// matrices on a 1/1024 grid (an initializer's short mantissas, so it is
+/// the cheapest snapshot to materialize and Prim roots every chain there),
+/// and each later snapshot adds small gaussian steps to the one before, as
+/// training does. Every matrix is at least 32x32 floats, so an XOR delta
+/// against the previous checkpoint (a near-zero sign/exponent plane and a
+/// sparse high-mantissa plane) stores smaller than a materialization.
+/// Matrices whose planes are only a few hundred bytes would not: their
+/// codec frames do not shrink, both edges store raw, and the min-storage
+/// solver rightly keeps the materialization.
+std::vector<std::vector<NamedParam>> DriftingSnapshots(uint64_t seed,
+                                                       int count) {
+  const std::pair<int64_t, int64_t> shapes[] = {
+      {32, 32}, {64, 32}, {32, 48}, {48, 48}};
+  Rng rng(seed);
+  std::vector<std::vector<NamedParam>> snapshots(1);
+  for (size_t m = 0; m < std::size(shapes); ++m) {
+    FloatMatrix value(shapes[m].first, shapes[m].second);
+    value.FillGaussian(&rng, 0.1f);
+    for (float& v : value.data()) v = std::round(v * 1024.0f) / 1024.0f;
+    snapshots[0].push_back({"w" + std::to_string(m), std::move(value)});
+  }
+  for (int s = 1; s < count; ++s) {
+    snapshots.push_back(snapshots.back());
+    for (NamedParam& param : snapshots.back()) {
+      for (float& v : param.value.data()) {
+        v += static_cast<float>(rng.NextGaussian()) * 1e-3f;
+      }
+    }
+  }
+  return snapshots;
+}
+
+// Fixture with >= 4-deep delta chains: six checkpoints of one drifting
 // run, adjacent-pair candidates, min-storage solver — every non-root
 // vertex deltas off the previous checkpoint, so the last snapshots sit
 // five and six links from the materialized roots.
 class DeepChainArchiveTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    const auto snapshots = TrainSnapshots(11, 120, 20);
+    const auto snapshots = DriftingSnapshots(11, 6);
     ASSERT_EQ(snapshots.size(), 6u);
     ArchiveBuilder builder(&env_, "deep");
     for (size_t i = 0; i < snapshots.size(); ++i) {
       names_.push_back("v1/s" + std::to_string(i));
-      ASSERT_TRUE(builder.AddSnapshot(names_.back(), snapshots[i].params).ok());
-      originals_.push_back(snapshots[i].params);
+      ASSERT_TRUE(builder.AddSnapshot(names_.back(), snapshots[i]).ok());
+      originals_.push_back(snapshots[i]);
     }
     for (size_t i = 1; i < snapshots.size(); ++i) {
       ASSERT_TRUE(builder.AddDeltaCandidate(names_[i - 1], names_[i]).ok());
@@ -1240,6 +1383,84 @@ TEST(ChunkStoreTest, StatsConsistentUnderConcurrentAccess) {
   EXPECT_GT(stats.bytes_read, 0u);
   EXPECT_EQ(reader->bytes_read(), stats.bytes_read);
   EXPECT_LE(stats.cache_bytes, 1u << 16);
+}
+
+// The mapped twin of StatsConsistentUnderConcurrentAccess, over a mix of
+// raw chunks (read in place, never cached) and deflate chunks (decoded
+// through the cache): every Get is still exactly one hit or one fetch.
+// (Run under TSan in CI.)
+TEST(ChunkStoreTest, MappedMixStatsExactUnderConcurrency) {
+  Env* env = Env::Default();
+  const std::string dir = ::testing::TempDir() + "/mh_chunk_mapped_mix";
+  ASSERT_TRUE(env->CreateDirs(dir).ok());
+  const std::string path = dir + "/s.bin";
+  ChunkStoreWriter writer(env, path);
+  Rng rng(23);
+  constexpr int kChunks = 12;
+  std::vector<std::string> payloads;
+  for (int i = 0; i < kChunks; ++i) {
+    std::string data(512 + rng.Uniform(512), '\0');
+    // Odd chunks are noise deflate-lite cannot shrink: stored raw.
+    const uint64_t alphabet = i % 2 == 0 ? 6 : 256;
+    for (auto& c : data) c = static_cast<char>(rng.Uniform(alphabet));
+    payloads.push_back(data);
+    ASSERT_TRUE(writer.Put(Slice(data), CodecType::kDeflateLite).ok());
+  }
+  ASSERT_TRUE(writer.Finish().ok());
+  auto reader = ChunkStoreReader::Open(env, path);
+  ASSERT_TRUE(reader.ok());
+  uint64_t decoded_stored = 0;
+  uint64_t decoded_raw = 0;
+  for (uint32_t i = 0; i < kChunks; ++i) {
+    ASSERT_EQ(reader->ref(i).codec,
+              i % 2 == 0 ? CodecType::kDeflateLite : CodecType::kNull);
+    if (i % 2 == 0) {
+      decoded_stored += reader->ref(i).stored_size;
+      decoded_raw += reader->ref(i).raw_size;
+    }
+  }
+  reader->EnableCache(true);
+  // Roomy capacity: every deflate chunk stays cached after its one fetch.
+  reader->SetCacheCapacity(1 << 16);
+  const Counter* raw_reads =
+      MetricRegistry::Global()->GetCounter("pas.chunk.read.raw");
+  const uint64_t raw_reads_before = raw_reads->value();
+  ThreadPool pool(4);
+  WaitGroup group;
+  std::atomic<uint64_t> gets{0};
+  std::atomic<uint64_t> raw_gets{0};
+  std::atomic<uint64_t> raw_bytes{0};
+  std::atomic<int> mismatches{0};
+  for (int t = 0; t < 8; ++t) {
+    pool.Schedule(&group, [&, t] {
+      for (int i = 0; i < 64; ++i) {
+        const uint32_t id = static_cast<uint32_t>((i * 5 + t) % kChunks);
+        auto data = reader->Get(id);
+        if (!data.ok() || *data != payloads[id]) {
+          mismatches.fetch_add(1);
+          continue;
+        }
+        gets.fetch_add(1);
+        if (id % 2 == 1) {
+          raw_gets.fetch_add(1);
+          raw_bytes.fetch_add(reader->ref(id).stored_size);
+        }
+      }
+    });
+  }
+  group.Wait();
+  const ChunkStoreStats stats = reader->stats();
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_EQ(gets.load(), 8u * 64u);
+  EXPECT_EQ(stats.chunk_fetches + stats.cache_hits, gets.load());
+  // Raw Gets are all fetches; each deflate chunk is fetched exactly once
+  // (a thread that loses the fill race counts a hit).
+  EXPECT_EQ(stats.chunk_fetches, raw_gets.load() + kChunks / 2);
+  EXPECT_EQ(stats.bytes_read, raw_bytes.load() + decoded_stored);
+  EXPECT_EQ(raw_reads->value() - raw_reads_before, raw_gets.load());
+  EXPECT_GT(stats.cache_hits, 0u);
+  EXPECT_EQ(reader->bytes_read(), stats.bytes_read);
+  EXPECT_EQ(stats.cache_bytes, decoded_raw);
 }
 
 // Retrieval that dies partway (injected read fault) must still emit the

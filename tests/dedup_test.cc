@@ -4,8 +4,8 @@
 // indistinguishable at every read surface — exact retrieval, parallel
 // retrieval, and progressive bounds at every plane count — while storing
 // strictly fewer bytes. Also covers cross-generation chunk reuse, the
-// refusal to borrow a corrupt prior chunk, and concurrent retrieval of
-// shared chunks (run under TSan in CI).
+// refusal to borrow a corrupt prior chunk, the (codec, stored bytes) dedup
+// key, and concurrent retrieval of shared chunks (run under TSan in CI).
 
 #include <gtest/gtest.h>
 
@@ -19,6 +19,9 @@
 #include "common/random.h"
 #include "common/thread_pool.h"
 #include "pas/archive.h"
+#include "pas/chunk_store.h"
+#include "pas/content_hash.h"
+#include "pas/parallel_archiver.h"
 
 namespace modelhub {
 namespace {
@@ -269,6 +272,60 @@ TEST(DedupTest, CorruptPriorChunkIsNotBorrowed) {
   auto s0 = reader->RetrieveSnapshot("s0");
   ASSERT_TRUE(s0.ok()) << s0.status().ToString();
   ExpectBitIdentical(*s0, family.snapshots[0], "s0");
+}
+
+// Dedup keys a chunk on its codec and its stored bytes. A gaussian
+// matrix's sign/exponent plane shrinks under deflate-lite and its three
+// mantissa planes do not, so the pipeline stores plane 0 deflated and
+// planes 1-3 raw. A prior chunk offered under the same stored bytes but
+// the other codec is not shared; one under the same codec is.
+TEST(DedupTest, SameBytesUnderAnotherCodecAreNotShared) {
+  Rng rng(31);
+  FloatMatrix weights(48, 64);
+  weights.FillGaussian(&rng, 0.1f);
+  MemEnv env;
+  const CodecType codec = CodecType::kDeflateLite;
+  ChunkStoreWriter first(&env, "first.bin");
+  ParallelArchiver::Job job{&weights, nullptr, DeltaKind::kMaterialized,
+                            &first};
+  ASSERT_TRUE(ParallelArchiver::Run({job}, codec, 2).ok());
+  ASSERT_TRUE(first.Finish().ok());
+  auto stored = ChunkStoreReader::Open(&env, "first.bin");
+  ASSERT_TRUE(stored.ok());
+  ASSERT_EQ(stored->num_chunks(), static_cast<uint32_t>(kNumPlanes));
+  std::vector<std::string> bytes;
+  for (uint32_t p = 0; p < kNumPlanes; ++p) {
+    ASSERT_EQ(stored->ref(p).codec, p == 0 ? codec : CodecType::kNull) << p;
+    auto payload = stored->GetCompressed(p);
+    ASSERT_TRUE(payload.ok());
+    bytes.push_back(*payload);
+  }
+
+  ParallelArchiver::DedupContext dedup;
+  dedup.prior_files = {"first.bin"};
+  // Planes 0 and 1: their exact stored bytes, under the other codec.
+  dedup.prior.emplace(StoredChunkKey(CodecType::kNull, Slice(bytes[0])),
+                      ParallelArchiver::DedupContext::PriorChunk{0, 0});
+  dedup.prior.emplace(StoredChunkKey(codec, Slice(bytes[1])),
+                      ParallelArchiver::DedupContext::PriorChunk{0, 1});
+  // Plane 2: the same codec and bytes, so it is shared.
+  dedup.prior.emplace(StoredChunkKey(CodecType::kNull, Slice(bytes[2])),
+                      ParallelArchiver::DedupContext::PriorChunk{0, 2});
+  ChunkStoreWriter second(&env, "second.bin");
+  job.destination = &second;
+  ArchivePipelineStats stats;
+  auto placements =
+      ParallelArchiver::Run({job}, codec, 2, &stats, 0, &dedup);
+  ASSERT_TRUE(placements.ok()) << placements.status().ToString();
+  ASSERT_EQ(placements->size(), 1u);
+  const ParallelArchiver::Placement& placed = (*placements)[0];
+  EXPECT_EQ(placed.prior_file[0], -1);
+  EXPECT_EQ(placed.prior_file[1], -1);
+  EXPECT_EQ(placed.prior_file[2], 0);
+  EXPECT_EQ(placed.chunk_ids[2], 2u);
+  EXPECT_EQ(placed.prior_file[3], -1);
+  EXPECT_EQ(stats.dedup_prior_hits, 1u);
+  EXPECT_EQ(second.num_chunks(), 3u);
 }
 
 // Shared chunks under concurrent parallel retrieval: several threads
