@@ -1103,12 +1103,16 @@ Status ArchiveReader::Resolve(PlanNode* node, const PlanNode* parent,
       (overlap_rows != meta.rows || overlap_cols != meta.cols)) {
     return Status::Corruption("exact SUB delta with mismatched base shape");
   }
-  FloatMatrix lo = own.lo();
-  FloatMatrix hi = own.hi();
+  // The node's own fresh bounds are summed in place, one row at a time.
+  auto [lo, hi] = std::move(own).TakeBounds();
   for (int64_t r = 0; r < overlap_rows; ++r) {
+    float* lo_row = lo.data().data() + r * meta.cols;
+    float* hi_row = hi.data().data() + r * meta.cols;
+    const float* base_lo_row = base_lo.data().data() + r * base_lo.cols();
+    const float* base_hi_row = base_hi.data().data() + r * base_hi.cols();
     for (int64_t c = 0; c < overlap_cols; ++c) {
-      lo.At(r, c) = base_lo.At(r, c) + lo.At(r, c);
-      hi.At(r, c) = base_hi.At(r, c) + hi.At(r, c);
+      lo_row[c] = base_lo_row[c] + lo_row[c];
+      hi_row[c] = base_hi_row[c] + hi_row[c];
     }
   }
   MH_ASSIGN_OR_RETURN(node->bounds,

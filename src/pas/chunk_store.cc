@@ -218,6 +218,12 @@ Result<std::string> ChunkStoreReader::Get(uint32_t id,
   }
   if (!in_place) MH_COUNTER("pas.chunk.cache.miss")->Increment();
   const auto fetch_start = std::chrono::steady_clock::now();
+  const auto elapsed_us = [&fetch_start] {
+    return static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::microseconds>(
+            std::chrono::steady_clock::now() - fetch_start)
+            .count());
+  };
   std::string scratch;
   MH_ASSIGN_OR_RETURN(const Slice stored, ReadStored(id, &scratch));
   std::string raw;
@@ -232,6 +238,7 @@ Result<std::string> ChunkStoreReader::Get(uint32_t id,
     ++sink.chunk_fetches;
     MH_COUNTER("pas.chunk.read.raw")->Increment();
     MH_COUNTER("pas.chunk.read.raw.bytes")->Add(ref.stored_size);
+    MH_HISTOGRAM("pas.chunk.read.raw.us")->Record(elapsed_us());
     return raw;
   }
   {
@@ -268,11 +275,7 @@ Result<std::string> ChunkStoreReader::Get(uint32_t id,
   }
   MH_COUNTER("pas.chunk.fetch.count")->Increment();
   MH_COUNTER("pas.chunk.fetch.bytes")->Add(ref.stored_size);
-  MH_HISTOGRAM("pas.chunk.fetch.us")
-      ->Record(static_cast<uint64_t>(
-          std::chrono::duration_cast<std::chrono::microseconds>(
-              std::chrono::steady_clock::now() - fetch_start)
-              .count()));
+  MH_HISTOGRAM("pas.chunk.fetch.us")->Record(elapsed_us());
   return raw;
 }
 

@@ -1,7 +1,5 @@
 #include "pas/segment.h"
 
-#include <cfloat>
-#include <cmath>
 #include <cstring>
 
 #include "common/macros.h"
@@ -16,17 +14,12 @@ uint32_t FloatBits(float v) {
   return u;
 }
 
-float BitsToFloat(uint32_t u) {
-  float v;
-  std::memcpy(&v, &u, 4);
-  return v;
-}
-
-/// Replaces inf/NaN (which can only arise from synthetic bit fills) with
-/// the largest finite magnitude of the same sign.
-float ClampFinite(float v) {
-  if (std::isfinite(v)) return v;
-  return std::signbit(v) ? -FLT_MAX : FLT_MAX;
+/// Replaces a non-finite bit pattern (all-ones exponent: inf or NaN, which
+/// only synthetic byte fills produce) with the largest finite magnitude of
+/// the same sign.
+uint32_t ClampFiniteBits(uint32_t u) {
+  return (u & 0x7F800000u) == 0x7F800000u ? (u & 0x80000000u) | 0x7F7FFFFFu
+                                          : u;
 }
 
 Status ValidatePlanes(int64_t rows, int64_t cols,
@@ -43,17 +36,52 @@ Status ValidatePlanes(int64_t rows, int64_t cols,
   return Status::OK();
 }
 
-/// Reconstructs element i's bits from available planes, filling missing
-/// low-order bytes with `fill`.
-uint32_t AssembleBits(const std::vector<Slice>& planes, size_t i,
-                      uint8_t fill) {
+using PlanePointers = std::array<const uint8_t*, kNumPlanes>;
+
+PlanePointers PointersOf(const std::vector<Slice>& planes) {
+  PlanePointers p{};
+  for (size_t i = 0; i < planes.size(); ++i) p[i] = planes[i].data();
+  return p;
+}
+
+/// Element i's bits from the first K planes; the missing low-order bytes
+/// are zero. K is a constant, so the plane loop unrolls and the caller's
+/// element loop vectorizes.
+template <int K>
+uint32_t GatherBits(const PlanePointers& p, size_t i) {
   uint32_t u = 0;
-  for (int p = 0; p < kNumPlanes; ++p) {
-    const uint32_t byte =
-        p < static_cast<int>(planes.size()) ? planes[p][i] : fill;
-    u |= byte << (8 * (kNumPlanes - 1 - p));
+  for (int k = 0; k < K; ++k) {
+    u |= static_cast<uint32_t>(p[k][i]) << (8 * (kNumPlanes - 1 - k));
   }
   return u;
+}
+
+template <int K>
+void AssembleKernel(PlanePointers p, size_t n, float* out) {
+  for (size_t i = 0; i < n; ++i) {
+    const uint32_t u = GatherBits<K>(p, i);
+    std::memcpy(out + i, &u, 4);
+  }
+}
+
+/// The unknown low bytes range over 0x00..0xFF: the zero fill and the
+/// ones fill bound the value. Both share plane 0's sign bit, and the fill
+/// with the larger magnitude is the larger value for a positive float and
+/// the smaller one for a negative float. Clamping keeps the order.
+template <int K>
+void BoundsKernel(PlanePointers p, size_t n, float* lo, float* hi) {
+  constexpr uint32_t kUnknownBits =
+      K == kNumPlanes ? 0u : 0xFFFFFFFFu >> (8 * K);
+  for (size_t i = 0; i < n; ++i) {
+    const uint32_t u = GatherBits<K>(p, i);
+    const uint32_t zero_fill = ClampFiniteBits(u);
+    const uint32_t ones_fill = ClampFiniteBits(u | kUnknownBits);
+    const bool negative = (u & 0x80000000u) != 0;
+    const uint32_t l = negative ? ones_fill : zero_fill;
+    const uint32_t h = negative ? zero_fill : ones_fill;
+    std::memcpy(lo + i, &l, 4);
+    std::memcpy(hi + i, &h, 4);
+  }
 }
 
 }  // namespace
@@ -85,8 +113,14 @@ Result<FloatMatrix> AssembleFloats(int64_t rows, int64_t cols,
                                    const std::vector<Slice>& planes) {
   MH_RETURN_IF_ERROR(ValidatePlanes(rows, cols, planes));
   FloatMatrix out(rows, cols);
-  for (size_t i = 0; i < out.data().size(); ++i) {
-    out.data()[i] = BitsToFloat(AssembleBits(planes, i, 0x00));
+  const PlanePointers p = PointersOf(planes);
+  const size_t n = out.data().size();
+  float* dst = out.data().data();
+  switch (planes.size()) {
+    case 1: AssembleKernel<1>(p, n, dst); break;
+    case 2: AssembleKernel<2>(p, n, dst); break;
+    case 3: AssembleKernel<3>(p, n, dst); break;
+    default: AssembleKernel<4>(p, n, dst); break;
   }
   return out;
 }
@@ -96,26 +130,15 @@ Result<IntervalMatrix> BoundsFromPlanes(int64_t rows, int64_t cols,
   MH_RETURN_IF_ERROR(ValidatePlanes(rows, cols, planes));
   FloatMatrix lo(rows, cols);
   FloatMatrix hi(rows, cols);
-  const bool complete = planes.size() == kNumPlanes;
-  for (size_t i = 0; i < lo.data().size(); ++i) {
-    const float zero_fill =
-        ClampFinite(BitsToFloat(AssembleBits(planes, i, 0x00)));
-    if (complete) {
-      lo.data()[i] = zero_fill;
-      hi.data()[i] = zero_fill;
-      continue;
-    }
-    const float ones_fill =
-        ClampFinite(BitsToFloat(AssembleBits(planes, i, 0xFF)));
-    // For positive floats larger mantissa bits mean a larger value; for
-    // negative floats (sign bit set in plane 0) the order flips.
-    if (zero_fill <= ones_fill) {
-      lo.data()[i] = zero_fill;
-      hi.data()[i] = ones_fill;
-    } else {
-      lo.data()[i] = ones_fill;
-      hi.data()[i] = zero_fill;
-    }
+  const PlanePointers p = PointersOf(planes);
+  const size_t n = lo.data().size();
+  float* l = lo.data().data();
+  float* h = hi.data().data();
+  switch (planes.size()) {
+    case 1: BoundsKernel<1>(p, n, l, h); break;
+    case 2: BoundsKernel<2>(p, n, l, h); break;
+    case 3: BoundsKernel<3>(p, n, l, h); break;
+    default: BoundsKernel<4>(p, n, l, h); break;
   }
   return IntervalMatrix::FromBounds(std::move(lo), std::move(hi));
 }

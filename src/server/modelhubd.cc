@@ -269,11 +269,16 @@ Result<std::string> ModelHubServer::FetchSnapshot(const std::string& key,
   std::string text =
       "snapshot " + key + " planes=" + std::to_string(planes) + "\n";
   for (const auto& [name, matrix] : bounds) {
+    // One row-major pass: each width is summed into a double in element
+    // order and folded into the max (IntervalMatrix::MaxWidth's rule).
+    const float* lo = matrix.lo().data().data();
+    const float* hi = matrix.hi().data().data();
     double sum = 0.0;
-    for (int64_t r = 0; r < matrix.rows(); ++r) {
-      for (int64_t c = 0; c < matrix.cols(); ++c) {
-        sum += matrix.At(r, c).Width();
-      }
+    float max_width = 0.0f;
+    for (size_t i = 0; i < matrix.lo().data().size(); ++i) {
+      const float width = hi[i] - lo[i];
+      sum += width;
+      max_width = std::max(max_width, width);
     }
     const double cells =
         static_cast<double>(matrix.rows()) * static_cast<double>(matrix.cols());
@@ -282,7 +287,7 @@ Result<std::string> ModelHubServer::FetchSnapshot(const std::string& key,
                   "%s %lldx%lld max_width=%.6g mean_width=%.6g\n",
                   name.c_str(), static_cast<long long>(matrix.rows()),
                   static_cast<long long>(matrix.cols()),
-                  static_cast<double>(matrix.MaxWidth()),
+                  static_cast<double>(max_width),
                   cells > 0 ? sum / cells : 0.0);
     text.append(row);
   }

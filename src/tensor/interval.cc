@@ -7,11 +7,13 @@ Result<IntervalMatrix> IntervalMatrix::FromBounds(FloatMatrix lo,
   if (lo.rows() != hi.rows() || lo.cols() != hi.cols()) {
     return Status::InvalidArgument("IntervalMatrix: bound shape mismatch");
   }
-  for (int64_t i = 0; i < lo.size(); ++i) {
-    if (lo.data()[i] > hi.data()[i]) {
-      return Status::InvalidArgument("IntervalMatrix: lo > hi");
-    }
-  }
+  // One branch-free pass over every element, so the loop vectorizes. A
+  // NaN bound compares false and passes.
+  const float* l = lo.data().data();
+  const float* h = hi.data().data();
+  unsigned inverted = 0;
+  for (size_t i = 0; i < lo.data().size(); ++i) inverted |= l[i] > h[i];
+  if (inverted != 0) return Status::InvalidArgument("IntervalMatrix: lo > hi");
   IntervalMatrix im;
   im.lo_ = std::move(lo);
   im.hi_ = std::move(hi);

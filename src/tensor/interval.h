@@ -2,6 +2,7 @@
 #define MODELHUB_TENSOR_INTERVAL_H_
 
 #include <algorithm>
+#include <utility>
 
 #include "common/result.h"
 #include "tensor/float_matrix.h"
@@ -72,6 +73,12 @@ class IntervalMatrix {
 
   const FloatMatrix& lo() const { return lo_; }
   const FloatMatrix& hi() const { return hi_; }
+
+  /// Moves the (lo, hi) bound matrices out, leaving this matrix empty.
+  /// Edited bounds become an IntervalMatrix again through FromBounds.
+  std::pair<FloatMatrix, FloatMatrix> TakeBounds() && {
+    return {std::move(lo_), std::move(hi_)};
+  }
 
   /// Maximum elementwise width — a measure of retrieval uncertainty.
   float MaxWidth() const;

@@ -386,6 +386,12 @@ TEST(ChunkStoreTest, MappedRawChunkIsReadInPlace) {
   const Counter* raw_reads =
       MetricRegistry::Global()->GetCounter("pas.chunk.read.raw");
   const uint64_t raw_reads_before = raw_reads->value();
+  const Histogram* raw_read_us =
+      MetricRegistry::Global()->GetHistogram("pas.chunk.read.raw.us");
+  const uint64_t raw_read_us_before = raw_read_us->Snapshot().count;
+  const Histogram* fetch_us =
+      MetricRegistry::Global()->GetHistogram("pas.chunk.fetch.us");
+  const uint64_t fetch_us_before = fetch_us->Snapshot().count;
   for (int round = 0; round < 2; ++round) {
     ChunkStoreStats call;
     auto raw = reader->Get(0, &call);
@@ -399,6 +405,9 @@ TEST(ChunkStoreTest, MappedRawChunkIsReadInPlace) {
     EXPECT_EQ(*decoded, skewed);
   }
   EXPECT_EQ(raw_reads->value() - raw_reads_before, 2u);
+  // Each in-place read records its latency; decodes stay in fetch.us.
+  EXPECT_EQ(raw_read_us->Snapshot().count - raw_read_us_before, 2u);
+  EXPECT_EQ(fetch_us->Snapshot().count - fetch_us_before, 1u);
   const ChunkStoreStats stats = reader->stats();
   EXPECT_EQ(stats.cache_bytes, skewed.size());
   EXPECT_EQ(stats.chunk_fetches, 3u);  // Two raw reads, one decode.
@@ -1425,6 +1434,12 @@ TEST(ChunkStoreTest, MappedMixStatsExactUnderConcurrency) {
   const Counter* raw_reads =
       MetricRegistry::Global()->GetCounter("pas.chunk.read.raw");
   const uint64_t raw_reads_before = raw_reads->value();
+  const Histogram* raw_read_us =
+      MetricRegistry::Global()->GetHistogram("pas.chunk.read.raw.us");
+  const uint64_t raw_read_us_before = raw_read_us->Snapshot().count;
+  const Histogram* fetch_us =
+      MetricRegistry::Global()->GetHistogram("pas.chunk.fetch.us");
+  const uint64_t fetch_us_before = fetch_us->Snapshot().count;
   ThreadPool pool(4);
   WaitGroup group;
   std::atomic<uint64_t> gets{0};
@@ -1458,6 +1473,9 @@ TEST(ChunkStoreTest, MappedMixStatsExactUnderConcurrency) {
   EXPECT_EQ(stats.chunk_fetches, raw_gets.load() + kChunks / 2);
   EXPECT_EQ(stats.bytes_read, raw_bytes.load() + decoded_stored);
   EXPECT_EQ(raw_reads->value() - raw_reads_before, raw_gets.load());
+  EXPECT_EQ(raw_read_us->Snapshot().count - raw_read_us_before,
+            raw_gets.load());
+  EXPECT_EQ(fetch_us->Snapshot().count - fetch_us_before, kChunks / 2u);
   EXPECT_GT(stats.cache_hits, 0u);
   EXPECT_EQ(reader->bytes_read(), stats.bytes_read);
   EXPECT_EQ(stats.cache_bytes, decoded_raw);

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cfloat>
 #include <cmath>
+#include <cstring>
 
 #include "common/random.h"
 #include "compress/codec.h"
@@ -110,6 +112,115 @@ TEST(SegmentTest, PlaneValidation) {
   EXPECT_TRUE(AssembleFloats(4, 4, {}).status().IsInvalidArgument());
   std::vector<Slice> wrong = {Slice(planes[0]).SubSlice(0, 3)};
   EXPECT_TRUE(AssembleFloats(4, 4, wrong).status().IsInvalidArgument());
+}
+
+// The per-element implementation the byte-plane kernels replaced, kept as
+// the reference they must match bit for bit.
+uint32_t ReferenceAssembleBits(const std::vector<Slice>& planes, size_t i,
+                               uint8_t fill) {
+  uint32_t u = 0;
+  for (int p = 0; p < kNumPlanes; ++p) {
+    const uint32_t byte =
+        p < static_cast<int>(planes.size()) ? planes[p][i] : fill;
+    u |= byte << (8 * (kNumPlanes - 1 - p));
+  }
+  return u;
+}
+
+float ReferenceBitsToFloat(uint32_t u) {
+  float v;
+  std::memcpy(&v, &u, 4);
+  return v;
+}
+
+float ReferenceClampFinite(float v) {
+  if (std::isfinite(v)) return v;
+  return std::signbit(v) ? -FLT_MAX : FLT_MAX;
+}
+
+FloatMatrix ReferenceAssembleFloats(int64_t rows, int64_t cols,
+                                    const std::vector<Slice>& planes) {
+  FloatMatrix out(rows, cols);
+  for (size_t i = 0; i < out.data().size(); ++i) {
+    out.data()[i] = ReferenceBitsToFloat(ReferenceAssembleBits(planes, i, 0));
+  }
+  return out;
+}
+
+void ReferenceBoundsFromPlanes(int64_t rows, int64_t cols,
+                               const std::vector<Slice>& planes,
+                               FloatMatrix* lo, FloatMatrix* hi) {
+  *lo = FloatMatrix(rows, cols);
+  *hi = FloatMatrix(rows, cols);
+  const bool complete = planes.size() == kNumPlanes;
+  for (size_t i = 0; i < lo->data().size(); ++i) {
+    const float zero_fill = ReferenceClampFinite(
+        ReferenceBitsToFloat(ReferenceAssembleBits(planes, i, 0x00)));
+    if (complete) {
+      lo->data()[i] = zero_fill;
+      hi->data()[i] = zero_fill;
+      continue;
+    }
+    const float ones_fill = ReferenceClampFinite(
+        ReferenceBitsToFloat(ReferenceAssembleBits(planes, i, 0xFF)));
+    if (zero_fill <= ones_fill) {
+      lo->data()[i] = zero_fill;
+      hi->data()[i] = ones_fill;
+    } else {
+      lo->data()[i] = ones_fill;
+      hi->data()[i] = zero_fill;
+    }
+  }
+}
+
+/// Compares both kernels with the reference on 1..4 of `planes`, each
+/// holding one 1 x n matrix.
+void ExpectKernelsMatchReference(
+    const std::array<std::string, kNumPlanes>& planes) {
+  const int64_t n = static_cast<int64_t>(planes[0].size());
+  for (int k = 1; k <= kNumPlanes; ++k) {
+    const std::vector<Slice> slices = ToSlices(planes, k);
+    auto exact = AssembleFloats(1, n, slices);
+    ASSERT_TRUE(exact.ok());
+    EXPECT_TRUE(exact->BitEquals(ReferenceAssembleFloats(1, n, slices)))
+        << "k=" << k << " n=" << n;
+    auto bounds = BoundsFromPlanes(1, n, slices);
+    ASSERT_TRUE(bounds.ok());
+    FloatMatrix lo;
+    FloatMatrix hi;
+    ReferenceBoundsFromPlanes(1, n, slices, &lo, &hi);
+    EXPECT_TRUE(bounds->lo().BitEquals(lo)) << "k=" << k << " n=" << n;
+    EXPECT_TRUE(bounds->hi().BitEquals(hi)) << "k=" << k << " n=" << n;
+  }
+}
+
+TEST(SegmentTest, KernelsMatchPerElementReference) {
+  // Seeded random bytes; the odd lengths leave vector-loop tails.
+  Rng rng(23);
+  for (const size_t n : {1, 7, 33, 4099}) {
+    std::array<std::string, kNumPlanes> planes;
+    for (auto& plane : planes) {
+      plane.resize(n);
+      for (auto& c : plane) c = static_cast<char>(rng.Uniform(256));
+    }
+    ExpectKernelsMatchReference(planes);
+  }
+  // Every (plane 0, plane 1) byte pair: both signs, +-0, and every
+  // all-ones exponent under the zero and the ones fill (inf and NaN,
+  // which the bounds clamp to +-FLT_MAX).
+  std::array<std::string, kNumPlanes> sweep;
+  for (auto& plane : sweep) plane.resize(256 * 256);
+  for (size_t i = 0; i < sweep[0].size(); ++i) {
+    sweep[0][i] = static_cast<char>(i >> 8);
+    sweep[1][i] = static_cast<char>(i & 0xFF);
+    sweep[2][i] = static_cast<char>(rng.Uniform(256));
+    sweep[3][i] = static_cast<char>(rng.Uniform(256));
+  }
+  ExpectKernelsMatchReference(sweep);
+  auto one_plane = BoundsFromPlanes(1, 256 * 256, ToSlices(sweep, 1));
+  ASSERT_TRUE(one_plane.ok());
+  EXPECT_EQ(one_plane->lo().Min(), -FLT_MAX);
+  EXPECT_EQ(one_plane->hi().Max(), FLT_MAX);
 }
 
 // --------------------------------------------------------------- Delta

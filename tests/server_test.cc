@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <string>
 #include <thread>
 #include <vector>
@@ -175,10 +176,38 @@ TEST_F(ServerTest, BasicOpsOverLoopback) {
     EXPECT_EQ((*remote)[i].value.size(), (*direct)[i].value.size());
   }
 
-  auto bounds = client->GetSnapshotBounds("served_v1", 1, 2);
-  ASSERT_TRUE(bounds.ok()) << bounds.status().ToString();
-  EXPECT_NE(bounds->find("planes=2"), std::string::npos);
-  EXPECT_NE(bounds->find("max_width"), std::string::npos);
+  // The served bounds summary, pinned byte for byte: per parameter, the
+  // widths of the archive's own bounds summed in row-major order into a
+  // double, and the largest width.
+  auto archive = repo->OpenArchive();
+  ASSERT_TRUE(archive.ok()) << archive.status().ToString();
+  for (int planes = 1; planes <= 2; ++planes) {
+    auto bounds = (*archive)->RetrieveSnapshotBounds("served_v1/s1", planes);
+    ASSERT_TRUE(bounds.ok()) << bounds.status().ToString();
+    std::string expected =
+        "snapshot served_v1/s1 planes=" + std::to_string(planes) + "\n";
+    for (const auto& [name, matrix] : *bounds) {
+      double sum = 0.0;
+      for (int64_t r = 0; r < matrix.rows(); ++r) {
+        for (int64_t c = 0; c < matrix.cols(); ++c) {
+          sum += matrix.At(r, c).Width();
+        }
+      }
+      const double cells = static_cast<double>(matrix.rows()) *
+                           static_cast<double>(matrix.cols());
+      char row[256];
+      std::snprintf(row, sizeof(row),
+                    "%s %lldx%lld max_width=%.6g mean_width=%.6g\n",
+                    name.c_str(), static_cast<long long>(matrix.rows()),
+                    static_cast<long long>(matrix.cols()),
+                    static_cast<double>(matrix.MaxWidth()),
+                    cells > 0 ? sum / cells : 0.0);
+      expected += row;
+    }
+    auto served = client->GetSnapshotBounds("served_v1", 1, planes);
+    ASSERT_TRUE(served.ok()) << served.status().ToString();
+    EXPECT_EQ(*served, expected);
+  }
 
   auto query = client->Query("select m where m.name like \"%\"");
   ASSERT_TRUE(query.ok()) << query.status().ToString();

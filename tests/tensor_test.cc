@@ -150,6 +150,19 @@ TEST(IntervalMatrixTest, FromBoundsValidates) {
   EXPECT_TRUE(im->Contains(inside));
   inside.At(0, 0) = 3.0f;
   EXPECT_FALSE(im->Contains(inside));
+
+  // The check covers every element: only the very last one is inverted.
+  FloatMatrix wide_lo(3, 37);
+  FloatMatrix wide_hi(3, 37);
+  wide_lo.Fill(-1.0f);
+  wide_hi.Fill(1.0f);
+  wide_lo.At(2, 36) = 2.0f;
+  EXPECT_TRUE(IntervalMatrix::FromBounds(wide_lo, wide_hi)
+                  .status()
+                  .IsInvalidArgument());
+  // A NaN bound compares false, so it is not an inversion.
+  wide_lo.At(2, 36) = std::nanf("");
+  EXPECT_TRUE(IntervalMatrix::FromBounds(wide_lo, wide_hi).ok());
 }
 
 TEST(IntervalTensorTest, ContainsWithSlack) {
