@@ -1,8 +1,9 @@
 // Archival write-pipeline benchmark: ingest MB/s of ArchiveBuilder::Build
 // at 1 / 4 / 8 encode threads over one synthetic checkpoint chain, plus
-// per-parameter encode latency percentiles and a byte-identity check of
-// every parallel archive against the one-worker build. Emits
-// BENCH_archival.json.
+// per-parameter encode latency percentiles, the planes the pipeline took
+// from the cost model's trial encodes instead of encoding them again, and
+// a byte-identity check of every parallel archive against the one-worker
+// build. Emits BENCH_archival.json.
 //
 // Every thread count is built three times and reported by its median
 // wall time (the run's other columns come from that median build), so one
@@ -185,6 +186,8 @@ int main() {
     double tile_p99_ms = 0.0;
     double codec_p50_ms = 0.0;
     double codec_p99_ms = 0.0;
+    uint64_t planes_from_trial = 0;
+    uint64_t planes_null_framed = 0;
   };
   std::vector<Row> rows;
   std::map<std::string, std::string> reference_files;
@@ -241,16 +244,21 @@ int main() {
     row.tile_p99_ms = PercentileMs(pipeline.tile_encode_ms, 0.99);
     row.codec_p50_ms = PercentileMs(pipeline.plane_codec_ms, 0.50);
     row.codec_p99_ms = PercentileMs(pipeline.plane_codec_ms, 0.99);
+    row.planes_from_trial = pipeline.planes_from_trial;
+    row.planes_null_framed = pipeline.planes_null_framed;
     rows.push_back(row);
 
     std::printf(
         "threads=%d  wall %8.1f ms  ingest %7.2f MB/s  speedup %.2fx  "
         "encode p50 %.2f ms p99 %.2f ms  tiles %d (p50 %.3f p99 %.3f ms)  "
-        "codec p50 %.3f p99 %.3f ms  stored %llu bytes\n",
+        "codec p50 %.3f p99 %.3f ms  stored %llu bytes  "
+        "trial planes %llu taken, %llu null-framed\n",
         row.threads, row.wall_ms, row.ingest_mbps, row.speedup, row.p50_ms,
         row.p99_ms, row.tiles, row.tile_p50_ms, row.tile_p99_ms,
         row.codec_p50_ms, row.codec_p99_ms,
-        static_cast<unsigned long long>(row.stored_bytes));
+        static_cast<unsigned long long>(row.stored_bytes),
+        static_cast<unsigned long long>(row.planes_from_trial),
+        static_cast<unsigned long long>(row.planes_null_framed));
   }
 
   // Cross-model deduplication on a fine-tuned family: same corpus, same
@@ -318,20 +326,23 @@ int main() {
                      ",\"bit_identical\":" +
                      (bit_identical ? "true" : "false") + ",\"runs\":[";
   for (size_t i = 0; i < rows.size(); ++i) {
-    char buffer[384];
+    char buffer[512];
     std::snprintf(buffer, sizeof(buffer),
                   "%s{\"threads\":%d,\"wall_ms\":%.1f,\"ingest_mbps\":%.2f,"
                   "\"speedup_vs_serial\":%.3f,\"encode_p50_ms\":%.3f,"
                   "\"encode_p99_ms\":%.3f,\"tiles\":%d,"
                   "\"tile_p50_ms\":%.4f,\"tile_p99_ms\":%.4f,"
                   "\"codec_p50_ms\":%.4f,\"codec_p99_ms\":%.4f,"
-                  "\"stored_bytes\":%llu}",
+                  "\"stored_bytes\":%llu,\"planes_from_trial\":%llu,"
+                  "\"planes_null_framed\":%llu}",
                   i == 0 ? "" : ",", rows[i].threads, rows[i].wall_ms,
                   rows[i].ingest_mbps, rows[i].speedup, rows[i].p50_ms,
                   rows[i].p99_ms, rows[i].tiles, rows[i].tile_p50_ms,
                   rows[i].tile_p99_ms, rows[i].codec_p50_ms,
                   rows[i].codec_p99_ms,
-                  static_cast<unsigned long long>(rows[i].stored_bytes));
+                  static_cast<unsigned long long>(rows[i].stored_bytes),
+                  static_cast<unsigned long long>(rows[i].planes_from_trial),
+                  static_cast<unsigned long long>(rows[i].planes_null_framed));
     json += buffer;
   }
   json += "]";

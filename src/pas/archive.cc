@@ -123,16 +123,25 @@ Result<ManifestFileHeader> ParseManifestFileHeader(const std::string& framed,
   return header;
 }
 
-/// Stored size of all four byte planes of `m` under `codec`: each plane
-/// is encoded as the archive stores it (EncodeChunk), so a plane the codec
-/// cannot shrink is charged at its raw frame size.
-double SegmentedCompressedSize(const FloatMatrix& m, CodecType codec) {
+/// The cost model's trial encode of payload `m`: its four byte planes
+/// encoded as the archive stores them (EncodeChunk), so a plane the codec
+/// cannot shrink is charged at its raw frame size. Returns the stored
+/// size, records each plane's codec in `*codecs` and, when `held` is
+/// non-null, keeps the encoded bytes of every plane the codec shrank.
+double TrialEncode(const FloatMatrix& m, CodecType codec, PlaneCodecs* codecs,
+                   PlaneBytes* held) {
   const auto planes = SegmentFloats(m);
   double total = 0.0;
   std::string encoded;
-  for (const std::string& plane : planes) {
-    MH_CHECK(EncodeChunk(Slice(plane), codec, &encoded).ok());
+  for (int p = 0; p < kNumPlanes; ++p) {
+    const auto stored = EncodeChunk(Slice(planes[p]), codec, &encoded);
+    MH_CHECK(stored.ok());
+    (*codecs)[p] = *stored;
     total += static_cast<double>(encoded.size());
+    if (held != nullptr && *stored != CodecType::kNull) {
+      encoded.shrink_to_fit();
+      (*held)[p] = std::exchange(encoded, std::string());
+    }
   }
   return total;
 }
@@ -229,7 +238,7 @@ Result<MatrixStorageGraph> BuildMatrixStorageGraph(
     const std::vector<std::pair<int, int>>& candidate_pairs,
     const ArchiveOptions& options, ThreadPool* pool,
     const std::vector<std::pair<int, int>>& vertex_pairs,
-    int* first_similarity_edge) {
+    int* first_similarity_edge, CostModelTrials* trials) {
   if (first_similarity_edge != nullptr) *first_similarity_edge = -1;
   const CodecType codec = options.codec;
   const DeltaKind delta_kind = options.delta_kind;
@@ -340,29 +349,38 @@ Result<MatrixStorageGraph> BuildMatrixStorageGraph(
     }
   }
 
-  // The cost model (a trial delta + four plane compressions per edge) is
-  // the expensive part of graph assembly and a pure function of the
-  // matrices, so it fans out over `pool` into pre-sized slots.
+  // The cost model (a trial delta + four plane encodes per edge) is the
+  // expensive part of graph assembly and a pure function of the matrices,
+  // so it fans out over `pool` into pre-sized slots. With `trials`, each
+  // materialization trial keeps the planes the codec shrank.
   struct EdgeCost {
     double cs = 0.0;
     double raw = 0.0;
+    PlaneCodecs codecs{};
     Status status = Status::OK();
   };
   std::vector<EdgeCost> costs(candidates.size());
+  if (trials != nullptr) {
+    *trials = CostModelTrials{};
+    trials->materialized.resize(static_cast<size_t>(num_matrices));
+  }
   ParallelFor(pool, candidates.size(), [&](size_t c) {
     const CandidateEdge& cand = candidates[c];
+    EdgeCost& cost = costs[c];
     if (cand.base == nullptr) {
-      costs[c].cs = SegmentedCompressedSize(*cand.target, codec);
-      costs[c].raw = static_cast<double>(cand.target->size()) * 4;
+      cost.cs = TrialEncode(*cand.target, codec, &cost.codecs,
+                            trials == nullptr ? nullptr
+                                              : &trials->materialized[c]);
+      cost.raw = static_cast<double>(cand.target->size()) * 4;
       return;
     }
     auto delta = ComputeDelta(*cand.target, *cand.base, cand.kind);
     if (!delta.ok()) {
-      costs[c].status = delta.status();
+      cost.status = delta.status();
       return;
     }
-    costs[c].cs = SegmentedCompressedSize(*delta, codec);
-    costs[c].raw = static_cast<double>(delta->size()) * 4;
+    cost.cs = TrialEncode(*delta, codec, &cost.codecs, nullptr);
+    cost.raw = static_cast<double>(delta->size()) * 4;
   });
 
   // Assemble edges serially, in candidate order.
@@ -375,6 +393,9 @@ Result<MatrixStorageGraph> BuildMatrixStorageGraph(
     MH_RETURN_IF_ERROR(add_tiered_edge(
         candidates[c].u, candidates[c].v, cost.cs,
         cost.cs + options.recreation_raw_weight * cost.raw));
+    if (trials != nullptr) {  // One entry per edge, remote twin included.
+      trials->edge_codecs.resize(graph.edges().size(), cost.codecs);
+    }
   }
   for (size_t s = 0; s < snapshots.size(); ++s) {
     MH_RETURN_IF_ERROR(
@@ -466,10 +487,12 @@ Result<ArchiveBuildReport> ArchiveBuilder::Build(
     specs.push_back({snapshot_names_[s], &snapshot_params_[s]});
   }
   int first_similarity_edge = -1;
+  CostModelTrials trials;
   MH_ASSIGN_OR_RETURN(
       MatrixStorageGraph graph,
       BuildMatrixStorageGraph(specs, candidate_pairs_, options, pool.get(),
-                              similarity_pairs, &first_similarity_edge));
+                              similarity_pairs, &first_similarity_edge,
+                              &trials));
 
   // --- Budgets relative to the SPT (the alpha knob of Fig 6(c)).
   MH_ASSIGN_OR_RETURN(StoragePlan spt, SolveSpt(graph));
@@ -512,18 +535,29 @@ Result<ArchiveBuildReport> ArchiveBuilder::Build(
       break;
     }
   }
+  // Only a vertex the plan stores materialized reuses its materialization
+  // trial's bytes; free the rest now, before the pipeline allocates.
+  for (size_t i = 0; i < values.size(); ++i) {
+    if (plan.Parent(static_cast<int>(i) + 1) != 0) {
+      trials.materialized[i] = PlaneBytes{};
+    }
+  }
 
   // --- Write chunks for the chosen tree. Remote-tier payloads go to a
   // separate store standing in for the remote service. Data files carry a
   // fresh generation number; the old generation stays untouched until the
-  // manifest (the commit point) is atomically replaced below.
+  // manifest (the commit point) is atomically replaced below. The number
+  // comes from the files listed, so a failed listing fails the build
+  // (nothing is written yet): generation 1 would replace a live or
+  // dedup-shared chunks-1.bin in place.
   MH_RETURN_IF_ERROR(env_->CreateDirs(dir_));
   uint64_t generation = 1;
-  if (auto names = env_->ListDir(dir_); names.ok()) {
-    for (const std::string& name : *names) {
+  {
+    MH_ASSIGN_OR_RETURN(const std::vector<std::string> names,
+                        env_->ListDir(dir_));
+    for (const std::string& name : names) {
       uint64_t gen = 0;
-      if (ParseGenFileName(name, "chunks", &gen) ||
-          ParseGenFileName(name, "remote", &gen)) {
+      if (ParseArchiveDataFileName(name, &gen)) {
         generation = std::max(generation, gen + 1);
       }
     }
@@ -534,7 +568,8 @@ Result<ArchiveBuildReport> ArchiveBuilder::Build(
   ChunkStoreWriter remote_chunks(env_, JoinPath(dir_, remote_name));
   int remote_payloads = 0;
   // Resolve every matrix's plan decision into a pipeline job: which base
-  // (delta parent) it encodes against, which delta kind, which store. The
+  // (delta parent) it encodes against, which delta kind, which store, and
+  // the cost model's trial of that payload when there is one. The
   // expensive encode work (delta + segmentation + compression) fans out
   // over the pool inside ParallelArchiver::Run; the committer appends
   // chunks in job (= matrix) order, so chunk ids — and the archive bytes —
@@ -553,9 +588,17 @@ Result<ArchiveBuildReport> ArchiveBuilder::Build(
       job.delta_kind =
           same_shape ? options.delta_kind : ToAdaptive(options.delta_kind);
     }
-    tiers[i] = graph.edge(plan.ParentEdge(v)).tier;
+    const StorageEdge& edge = graph.edge(plan.ParentEdge(v));
+    tiers[i] = edge.tier;
     job.destination = tiers[i] == 1 ? &remote_chunks : &chunks;
     if (tiers[i] == 1) ++remote_payloads;
+    // The edge's trial encoded edge.v against edge.u, with the delta kind
+    // the shapes give, as above. A plan may use a delta edge the other way
+    // round, storing u against v: that payload was never tried.
+    if (edge.u == parent && edge.v == v) {
+      job.trial_codecs = &trials.edge_codecs[static_cast<size_t>(edge.id)];
+      if (parent == 0) job.trial_planes = &trials.materialized[i];
+    }
   }
   // --- Cross-generation dedup context (DESIGN.md §15): planes the
   // committed generation already stores are referenced instead of
@@ -568,6 +611,9 @@ Result<ArchiveBuildReport> ArchiveBuilder::Build(
       ParallelArchiver::Run(jobs, options.codec, threads, &pipeline_stats,
                             options.tile_rows,
                             options.enable_dedup ? &dedup_ctx : nullptr));
+  // Every job is committed: free the held bytes now, not after the
+  // manifest write and the cleanup below. No job's trial is read again.
+  trials = CostModelTrials{};
   // Extra-file table: prior-generation data files actually referenced by
   // this build's placements, in first-reference (job, plane) order. Their
   // manifest slots start at 2 (0 = local store, 1 = remote store).

@@ -122,6 +122,17 @@ struct ArchiveBuildReport {
   int similarity_parents = 0;
 };
 
+/// The cost model's trial encodes, kept for the write pipeline
+/// (DESIGN.md §10). `edge_codecs[e]` is what EncodeChunk chose for each
+/// plane of edge e's payload: vertex `edge.v` stored against `edge.u`
+/// (materialized when u is v0). `materialized[v - 1]` holds the encoded
+/// bytes of vertex v's materialization trial for every plane the codec
+/// shrank, "" for the planes it stored raw.
+struct CostModelTrials {
+  std::vector<PlaneCodecs> edge_codecs;  ///< By edge id.
+  std::vector<PlaneBytes> materialized;  ///< By vertex id - 1.
+};
+
 /// A named snapshot to archive (non-owning view over its parameters).
 struct SnapshotSpec {
   std::string name;
@@ -148,12 +159,15 @@ struct SnapshotSpec {
 /// `*first_similarity_edge` (-1 when none is added); pairs of unequal
 /// shape, self pairs and pairs lineage already covers add nothing. An id
 /// outside 1..N is InvalidArgument.
+///
+/// A non-null `trials` receives what the cost model's trial encodes found
+/// (CostModelTrials), for ArchiveBuilder to hand to the write pipeline.
 Result<MatrixStorageGraph> BuildMatrixStorageGraph(
     const std::vector<SnapshotSpec>& snapshots,
     const std::vector<std::pair<int, int>>& candidate_pairs,
     const ArchiveOptions& options, ThreadPool* pool = nullptr,
     const std::vector<std::pair<int, int>>& vertex_pairs = {},
-    int* first_similarity_edge = nullptr);
+    int* first_similarity_edge = nullptr, CostModelTrials* trials = nullptr);
 
 /// Generation number the committed manifest names, without opening the
 /// chunk stores (the lifecycle GC's "current generation" probe).

@@ -16,15 +16,48 @@ namespace modelhub {
 
 namespace {
 
+/// Where one stored plane came from: encoded here, taken as the job's
+/// trial encoded it, or null-framed because the trial stored it raw.
+enum class PlaneSource : uint8_t { kEncoded, kTrialBytes, kTrialNull };
+
 /// Output of one job's encode stage: the four encoded plane payloads, the
-/// codec each is in (EncodeChunk's choice), and the raw plane size
-/// PutCompressed records in each chunk ref.
+/// codec each is in (EncodeChunk's choice), where each came from, and the
+/// raw plane size PutCompressed records in each chunk ref.
 struct EncodedPayload {
   std::string planes[kNumPlanes];
   CodecType codecs[kNumPlanes] = {CodecType::kNull, CodecType::kNull,
                                   CodecType::kNull, CodecType::kNull};
+  PlaneSource sources[kNumPlanes] = {
+      PlaneSource::kEncoded, PlaneSource::kEncoded, PlaneSource::kEncoded,
+      PlaneSource::kEncoded};
   uint64_t raw_plane_bytes = 0;
 };
+
+/// Produces plane `p` of `job` from its assembled raw bytes: the trial's
+/// held bytes when it kept them, the null frame with no codec attempt when
+/// the trial stored the plane raw, else EncodeChunk under `codec`. All
+/// three give the bytes EncodeChunk(raw, codec) would, because the trial
+/// encoded this same payload (Job's contract).
+Status EncodePlane(const ParallelArchiver::Job& job, int p,
+                   const std::string& raw, CodecType codec,
+                   EncodedPayload* payload) {
+  if (job.trial_codecs != nullptr) {
+    const CodecType trial_codec = (*job.trial_codecs)[p];
+    if (job.trial_planes != nullptr && !(*job.trial_planes)[p].empty()) {
+      payload->planes[p] = (*job.trial_planes)[p];
+      payload->codecs[p] = trial_codec;
+      payload->sources[p] = PlaneSource::kTrialBytes;
+      return Status::OK();
+    }
+    if (trial_codec == CodecType::kNull) {
+      codec = CodecType::kNull;
+      payload->sources[p] = PlaneSource::kTrialNull;
+    }
+  }
+  MH_ASSIGN_OR_RETURN(payload->codecs[p],
+                      EncodeChunk(Slice(raw), codec, &payload->planes[p]));
+  return Status::OK();
+}
 
 /// Row-tiling geometry of one job.
 struct TileShape {
@@ -93,10 +126,8 @@ Result<ParallelArchiver::Placement> CommitJob(
     if (auto it = dedup->prior.find(hash); it != dedup->prior.end()) {
       placement.prior_file[p] = it->second.file;
       placement.chunk_ids[p] = it->second.chunk_id;
-      if (stats != nullptr) {
-        ++stats->dedup_prior_hits;
-        stats->dedup_saved_bytes += plane.size();
-      }
+      ++stats->dedup_prior_hits;
+      stats->dedup_saved_bytes += plane.size();
       continue;
     }
     auto& seen = (*intra)[job.destination];
@@ -104,10 +135,8 @@ Result<ParallelArchiver::Placement> CommitJob(
         job.destination->codec(it->second) == codec &&
         job.destination->payload(it->second) == plane) {
       placement.chunk_ids[p] = it->second;
-      if (stats != nullptr) {
-        ++stats->dedup_intra_hits;
-        stats->dedup_saved_bytes += plane.size();
-      }
+      ++stats->dedup_intra_hits;
+      stats->dedup_saved_bytes += plane.size();
       continue;
     }
     MH_ASSIGN_OR_RETURN(
@@ -119,23 +148,29 @@ Result<ParallelArchiver::Placement> CommitJob(
   return placement;
 }
 
-/// Feeds the registry's dedup counters once per Run, after the committer
-/// drains (the stats fields themselves accumulate inside CommitJob).
-void RecordDedupStats(const ArchivePipelineStats* stats) {
-  if (stats == nullptr) return;
-  MH_COUNTER("pas.dedup.intra.hits")->Add(stats->dedup_intra_hits);
-  MH_COUNTER("pas.dedup.prior.hits")->Add(stats->dedup_prior_hits);
-  MH_COUNTER("pas.dedup.saved.bytes")->Add(stats->dedup_saved_bytes);
+/// Feeds the registry's dedup and trial-reuse counters once per Run, after
+/// the committer drains (the stats fields themselves accumulate inside
+/// CommitJob and RecordJobStats).
+void RecordRunCounters(const ArchivePipelineStats& stats) {
+  MH_COUNTER("pas.dedup.intra.hits")->Add(stats.dedup_intra_hits);
+  MH_COUNTER("pas.dedup.prior.hits")->Add(stats.dedup_prior_hits);
+  MH_COUNTER("pas.dedup.saved.bytes")->Add(stats.dedup_saved_bytes);
+  MH_COUNTER("pas.archive.planes.from_trial")->Add(stats.planes_from_trial);
+  MH_COUNTER("pas.archive.planes.null_framed")
+      ->Add(stats.planes_null_framed);
 }
 
 void RecordJobStats(const EncodedPayload& payload, double encode_ms,
                     const std::vector<double>& tile_ms,
                     const std::array<double, kNumPlanes>& plane_ms,
                     ArchivePipelineStats* stats) {
-  if (stats == nullptr) return;
   stats->raw_bytes += payload.raw_plane_bytes * kNumPlanes;
   for (int p = 0; p < kNumPlanes; ++p) {
     stats->compressed_bytes += payload.planes[p].size();
+    stats->planes_from_trial +=
+        payload.sources[p] == PlaneSource::kTrialBytes ? 1 : 0;
+    stats->planes_null_framed +=
+        payload.sources[p] == PlaneSource::kTrialNull ? 1 : 0;
   }
   stats->encode_ms_total += encode_ms;
   stats->job_encode_ms.push_back(encode_ms);
@@ -170,6 +205,8 @@ Result<std::vector<ParallelArchiver::Placement>> ParallelArchiver::Run(
     ArchivePipelineStats* stats, int tile_rows, const DedupContext* dedup) {
   TraceSpan span("pas.archive.pipeline");
   Stopwatch wall;
+  ArchivePipelineStats unreported;
+  if (stats == nullptr) stats = &unreported;
   IntraDedupMap intra;
   const int resolved_threads = ResolveArchiveThreads(threads);
   std::vector<TileShape> shapes;
@@ -197,22 +234,20 @@ Result<std::vector<ParallelArchiver::Placement>> ParallelArchiver::Run(
   MH_COUNTER("pas.archive.jobs")->Add(jobs.size());
   MH_COUNTER("pas.archive.tiles")->Add(total_tiles);
   MH_GAUGE("pas.archive.threads")->Set(workers);
-  if (stats != nullptr) {
-    *stats = ArchivePipelineStats{};
-    stats->jobs = static_cast<int>(jobs.size());
-    stats->threads = workers;
-    stats->tiles = total_tiles;
-    stats->job_encode_ms.reserve(jobs.size());
-    stats->tile_encode_ms.reserve(static_cast<size_t>(total_tiles));
-    stats->plane_codec_ms.reserve(jobs.size() * kNumPlanes);
-  }
+  *stats = ArchivePipelineStats{};
+  stats->jobs = static_cast<int>(jobs.size());
+  stats->threads = workers;
+  stats->tiles = total_tiles;
+  stats->job_encode_ms.reserve(jobs.size());
+  stats->tile_encode_ms.reserve(static_cast<size_t>(total_tiles));
+  stats->plane_codec_ms.reserve(jobs.size() * kNumPlanes);
   std::vector<Placement> placements;
   placements.reserve(jobs.size());
 
   // --- The pipeline, on `workers` pool threads (one is enough: the
   // caller thread commits). Tile tasks fill each job's shared plane
-  // buffers (disjoint ranges); the job's last tile schedules four codec
-  // tasks; the last codec task publishes the job's slot. The caller
+  // buffers (disjoint ranges); the job's last tile schedules four plane
+  // tasks; the last plane task publishes the job's slot. The caller
   // thread is the committer, consuming slots in job order as they become
   // ready (job i commits while jobs > i are still encoding). Slots are
   // handed off under the mutex, so the committer reads each payload only
@@ -257,17 +292,16 @@ Result<std::vector<ParallelArchiver::Placement>> ParallelArchiver::Run(
             return;
           }
           // Last tile of this job: the planes are fully assembled — hand
-          // them to four per-plane codec tasks. Encoding whole planes
-          // (never per tile) keeps the chunk payloads invariant to the
-          // tile size; EncodeChunk stores a plane the codec cannot shrink
-          // raw, exactly as ChunkStoreWriter::Put would.
+          // them to four per-plane tasks. Encoding whole planes (never per
+          // tile) keeps the chunk payloads invariant to the tile size;
+          // EncodeChunk stores a plane the codec cannot shrink raw,
+          // exactly as ChunkStoreWriter::Put would.
           for (int p = 0; p < kNumPlanes; ++p) {
-            pool.Schedule(&done, [state, p, codec, &mutex, &slot_ready] {
+            pool.Schedule(&done, [job, state, p, codec, &mutex,
+                                  &slot_ready] {
               Stopwatch plane_watch;
-              auto stored_codec = EncodeChunk(Slice(state->planes[p]), codec,
-                                              &state->payload.planes[p]);
-              state->plane_status[p] = stored_codec.status();
-              if (stored_codec.ok()) state->payload.codecs[p] = *stored_codec;
+              state->plane_status[p] = EncodePlane(
+                  *job, p, state->planes[p], codec, &state->payload);
               state->plane_ms[p] = plane_watch.ElapsedMillis();
               if (state->planes_left.fetch_sub(
                       1, std::memory_order_acq_rel) != 1) {
@@ -281,6 +315,9 @@ Result<std::vector<ParallelArchiver::Placement>> ParallelArchiver::Run(
               double encode_ms = 0.0;
               for (const double ms : state->tile_ms) encode_ms += ms;
               for (const double ms : state->plane_ms) encode_ms += ms;
+              // One job's encode time inside the pipeline: its tiles plus
+              // its four plane tasks, whether those encoded or took what
+              // the job's trial settled.
               MH_HISTOGRAM("pas.archive.encode.us")
                   ->Record(static_cast<uint64_t>(encode_ms * 1000.0));
               Status status = Status::OK();
@@ -332,11 +369,11 @@ Result<std::vector<ParallelArchiver::Placement>> ParallelArchiver::Run(
     done.Wait();  // Outstanding encoders must drain before states die.
     MH_HISTOGRAM("pas.archive.commit.us")
         ->Record(static_cast<uint64_t>(commit_watch.ElapsedMillis() * 1000.0));
-    if (stats != nullptr) stats->commit_ms = commit_watch.ElapsedMillis();
+    stats->commit_ms = commit_watch.ElapsedMillis();
     if (!first_error.ok()) return first_error;
   }
-  RecordDedupStats(stats);
-  if (stats != nullptr) stats->wall_ms = wall.ElapsedMillis();
+  RecordRunCounters(*stats);
+  stats->wall_ms = wall.ElapsedMillis();
   return placements;
 }
 

@@ -1,6 +1,7 @@
 #ifndef MODELHUB_PAS_PARALLEL_ARCHIVER_H_
 #define MODELHUB_PAS_PARALLEL_ARCHIVER_H_
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <unordered_map>
@@ -31,6 +32,12 @@ int ResolveArchiveThreads(int requested);
 /// while splitting large matrices into several encode tasks.
 int64_t ResolveTileRows(int requested, int64_t cols);
 
+/// The codec EncodeChunk chose for each byte plane of one payload.
+using PlaneCodecs = std::array<CodecType, kNumPlanes>;
+
+/// Encoded byte planes of one payload; "" where a plane is not held.
+using PlaneBytes = std::array<std::string, kNumPlanes>;
+
 /// What the archival write pipeline did — per-job latencies feed the
 /// p50/p99 columns of bench_archival, byte totals feed ingest MB/s.
 struct ArchivePipelineStats {
@@ -50,12 +57,19 @@ struct ArchivePipelineStats {
   uint64_t dedup_intra_hits = 0;  ///< Planes shared within this build.
   uint64_t dedup_prior_hits = 0;  ///< Planes referencing a prior generation.
   uint64_t dedup_saved_bytes = 0; ///< Compressed bytes not appended.
+  /// Planes a job's trial (Job::trial_codecs) spared an encode: taken as
+  /// the trial's held bytes, or null-framed with no codec attempt because
+  /// the trial stored them raw. Every other plane went through
+  /// EncodeChunk.
+  uint64_t planes_from_trial = 0;
+  uint64_t planes_null_framed = 0;
   /// Per-job encode latency in job order: the job's tile (delta + segment)
-  /// plus per-plane codec task times summed — CPU cost, not wall time.
+  /// plus per-plane task times summed — CPU cost, not wall time.
   std::vector<double> job_encode_ms;
   /// Per-tile delta + segment latency, in completion-publish (job) order.
   std::vector<double> tile_encode_ms;
-  /// Per-plane codec compression latency, in job-then-plane order.
+  /// Per-plane task latency, in job-then-plane order: an encode, or the
+  /// copy or null frame a trial settled.
   std::vector<double> plane_codec_ms;
 };
 
@@ -65,12 +79,16 @@ struct ArchivePipelineStats {
 /// tiles; a tile task computes the delta for its rows and scatters the
 /// byte planes into the job's shared plane buffers (disjoint ranges, so
 /// tiles run concurrently without synchronization on the data). When a
-/// job's last tile lands, four per-plane codec tasks encode the assembled
-/// planes through EncodeChunk: each plane is stored under the requested
-/// codec when that shrinks it, else raw (kNull), and the committer records
-/// the codec per chunk. The ordering-sensitive tail — chunk-store appends,
-/// and the caller's manifest/journal writes after Run returns — stays on
-/// the calling thread, in job order.
+/// job's last tile lands, four per-plane tasks produce the stored planes:
+/// each plane is stored under the requested codec when that shrinks it,
+/// else raw (kNull), and the committer records the codec per chunk. A job
+/// carrying the cost model's trial of its payload skips what the trial
+/// already settled: a held plane is committed as the trial encoded it, a
+/// plane the trial stored raw gets the null frame without a codec
+/// attempt, and every other plane goes through EncodeChunk. The
+/// ordering-sensitive tail — chunk-store appends, and the caller's
+/// manifest/journal writes after Run returns — stays on the calling
+/// thread, in job order.
 ///
 /// Determinism guarantee: tiles only partition the delta + segmentation
 /// work; every codec still compresses a whole assembled plane, so the
@@ -88,11 +106,20 @@ class ParallelArchiver {
   /// materialized; otherwise the payload is ComputeDelta(target, base,
   /// delta_kind). `destination` receives the four plane chunks (jobs may
   /// target different stores, e.g. the local and remote tiers).
+  ///
+  /// `trial_codecs`, when set, must be what EncodeChunk chose for the four
+  /// planes of exactly this payload (the same target, base and delta kind)
+  /// under Run's codec; `trial_planes`, when set too, holds that trial's
+  /// encoded bytes for some of those planes ("" for the rest). Both are
+  /// read-only here and must outlive Run. The archive bytes are the same
+  /// with or without them.
   struct Job {
     const FloatMatrix* target = nullptr;
     const FloatMatrix* base = nullptr;
     DeltaKind delta_kind = DeltaKind::kMaterialized;
     ChunkStoreWriter* destination = nullptr;
+    const PlaneCodecs* trial_codecs = nullptr;
+    const PlaneBytes* trial_planes = nullptr;
   };
 
   /// Where one job's planes landed, in job order. With dedup active a

@@ -2,12 +2,16 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstdio>
+#include <functional>
+#include <map>
 #include <mutex>
 #include <thread>
 #include <tuple>
 
 #include "common/checked_io.h"
 #include "common/coding.h"
+#include "common/crc32.h"
 #include "common/env.h"
 #include "common/fault_env.h"
 #include "common/metrics.h"
@@ -755,6 +759,277 @@ TEST(ArchiveBuilderTest, StorageGraphTakesSimilarityPairsAsVertexIds) {
                                         {bad})
                     .status()
                     .IsInvalidArgument());
+  }
+}
+
+/// A seeded lineage corpus for the pinned-bytes test, built from integer
+/// draws only (Irwin-Hall sums of uniforms, no libm), so its floats are
+/// the same on every platform. Snapshot `@0` is random; each later one
+/// drifts every matrix except conv1, which freezes at `@2` so dedup has
+/// identical planes to share; `ft@0` fine-tunes `lin@2` with a widened
+/// head (a shape change, hence an adaptive delta).
+std::vector<std::pair<std::string, std::vector<NamedParam>>> PinnedCorpus(
+    int lineage_length) {
+  Rng rng(2417);
+  auto noise = [&rng](float scale) {
+    float sum = 0.0f;
+    for (int i = 0; i < 4; ++i) sum += static_cast<float>(rng.NextDouble());
+    return (sum - 2.0f) * scale;
+  };
+  std::vector<NamedParam> current = {{"conv1.W", FloatMatrix(24, 75)},
+                                     {"conv2.W", FloatMatrix(32, 288)},
+                                     {"fc.W", FloatMatrix(10, 512)},
+                                     {"fc.b", FloatMatrix(1, 10)}};
+  for (auto& param : current) {
+    for (float& v : param.value.data()) v = noise(0.1f);
+  }
+  std::vector<std::pair<std::string, std::vector<NamedParam>>> corpus;
+  for (int s = 0; s < lineage_length; ++s) {
+    if (s > 0) {
+      for (size_t p = 0; p < current.size(); ++p) {
+        if (p == 0 && s >= 2) continue;  // conv1 frozen from @2 on.
+        for (float& v : current[p].value.data()) v += noise(0.004f);
+      }
+    }
+    corpus.emplace_back("lin@" + std::to_string(s), current);
+    if (s == 2) {
+      std::vector<NamedParam> tuned = current;
+      FloatMatrix head(12, 512);
+      for (int64_t r = 0; r < head.rows(); ++r) {
+        for (int64_t c = 0; c < head.cols(); ++c) {
+          head.At(r, c) = r < 10 ? current[2].value.At(r, c) + noise(0.01f)
+                                 : noise(0.1f);
+        }
+      }
+      tuned[2].value = std::move(head);
+      tuned[3].value = FloatMatrix(1, 12);
+      for (float& v : tuned[3].value.data()) v = noise(0.1f);
+      corpus.emplace_back("ft@0", std::move(tuned));
+    }
+  }
+  return corpus;
+}
+
+/// "name:crc32 ..." over every file under `dir`, in name order. The
+/// manifest is CRC'd without its CRC footer: the CRC-32 of a message
+/// followed by its own CRC is the same constant for every message.
+std::string FileCrcs(Env* env, const std::string& dir) {
+  auto names = env->ListDir(dir);
+  EXPECT_TRUE(names.ok());
+  std::string out;
+  for (const std::string& name : names.ok() ? *names
+                                            : std::vector<std::string>{}) {
+    const std::string path = JoinPath(dir, name);
+    auto data = name == "manifest.bin" ? ReadChecked(env, path)
+                                       : env->ReadFile(path);
+    EXPECT_TRUE(data.ok()) << name;
+    char crc[16];
+    std::snprintf(crc, sizeof(crc), "%08x",
+                  Crc32(Slice(data.ok() ? *data : std::string())));
+    out += (out.empty() ? "" : " ") + name + ":" + crc;
+  }
+  return out;
+}
+
+TEST(ArchiveBuilderTest, WritePathBytesArePinned) {
+  // What Build writes is a pure function of the corpus and the options.
+  // The CRCs below were recorded from the archive files a build wrote
+  // before the write pipeline reused the cost model's trial encodes; any
+  // change to the bytes on disk must be deliberate and re-record them.
+  // Generation 2 adds one snapshot to the same lineage and re-archives,
+  // so prior-generation dedup and garbage collection are pinned too.
+  struct PinnedCase {
+    const char* label;
+    std::function<void(ArchiveOptions*)> configure;
+    const char* crcs[2];  // After generation 1 and 2.
+  };
+  const std::vector<PinnedCase> cases = {
+      {"dlv defaults",
+       [](ArchiveOptions* o) { o->budget_alpha = 2.0; },
+       {"chunks-1.bin:7f8fd6c6 manifest.bin:a65108f5",
+        "chunks-1.bin:7f8fd6c6 chunks-2.bin:cd12f88f manifest.bin:01b0cb60"}},
+      {"mst",
+       [](ArchiveOptions* o) { o->solver = ArchiveSolver::kMst; },
+       {"chunks-1.bin:6eeddfae manifest.bin:3dd9ecdd",
+        "chunks-1.bin:6eeddfae chunks-2.bin:4371fb28 manifest.bin:85b4fa4a"}},
+      {"pas-mt xor 1.6",
+       [](ArchiveOptions* o) {
+         o->solver = ArchiveSolver::kPasMt;
+         o->delta_kind = DeltaKind::kXor;
+         o->budget_alpha = 1.6;
+       },
+       {"chunks-1.bin:b6a9da8a manifest.bin:5025a28c",
+        "chunks-1.bin:b6a9da8a chunks-2.bin:74d0377e manifest.bin:7a36763b"}},
+      {"remote tier",
+       [](ArchiveOptions* o) {
+         o->budget_alpha = 2.0;
+         o->enable_remote_tier = true;
+       },
+       {"chunks-1.bin:e1ad90c1 manifest.bin:98591273 remote-1.bin:28f0b62a",
+        "chunks-1.bin:e1ad90c1 chunks-2.bin:fa1d84dd manifest.bin:17dccd2f "
+        "remote-1.bin:28f0b62a remote-2.bin:607d618f"}},
+      {"spt one thread no dedup",
+       [](ArchiveOptions* o) {
+         o->solver = ArchiveSolver::kSpt;
+         o->archive_threads = 1;
+         o->enable_dedup = false;
+       },
+       {"chunks-1.bin:b3f8c5bb manifest.bin:3b494db7",
+        "chunks-2.bin:9397bfd9 manifest.bin:ba1f42c3"}},
+  };
+  for (const PinnedCase& pinned : cases) {
+    SCOPED_TRACE(pinned.label);
+    MemEnv env;
+    for (int generation = 1; generation <= 2; ++generation) {
+      SCOPED_TRACE("generation " + std::to_string(generation));
+      const auto corpus = PinnedCorpus(generation == 1 ? 3 : 4);
+      ArchiveBuilder builder(&env, "pas");
+      std::string previous;
+      for (const auto& [name, params] : corpus) {
+        ASSERT_TRUE(builder.AddSnapshot(name, params).ok());
+        if (!previous.empty()) {
+          ASSERT_TRUE(builder.AddDeltaCandidate(previous, name).ok());
+        }
+        if (name.rfind("lin@", 0) == 0) previous = name;
+      }
+      ArchiveOptions options;
+      pinned.configure(&options);
+      auto report = builder.Build(options);
+      ASSERT_TRUE(report.ok()) << report.status().ToString();
+      EXPECT_EQ(FileCrcs(&env, "pas"), pinned.crcs[generation - 1]);
+      // The materialized roots commit their trial's bytes, and their
+      // mantissa planes are null-framed without a codec attempt.
+      EXPECT_GT(report->pipeline.planes_from_trial, 0u);
+      EXPECT_GT(report->pipeline.planes_null_framed, 0u);
+    }
+  }
+}
+
+TEST(ArchiveBuilderTest, EdgeStoredTheOtherWayCarriesNoTrial) {
+  // The lineage edge s0 -> s1 is tried as s1 against s0. Here s1 (the
+  // first 16 rows of s0 plus noise in the low bits) is cheaper to
+  // materialize than s0, so the MST stores s0 against s1 instead: an
+  // adaptive delta of s0's shape whose planes 1-3 compress (48 rows of
+  // zeros) although the trial's (all noise) did not. That job must carry
+  // no trial, so its planes are encoded fresh, not null-framed.
+  Rng rng(31);
+  std::vector<NamedParam> s0 = {{"w", FloatMatrix(64, 64)}};
+  std::vector<NamedParam> s1 = {{"w", FloatMatrix(16, 64)}};
+  for (int64_t r = 0; r < 16; ++r) {
+    for (int64_t c = 0; c < 64; ++c) {
+      s0[0].value.At(r, c) = static_cast<float>(rng.NextGaussian()) * 0.1f;
+      s1[0].value.At(r, c) =
+          s0[0].value.At(r, c) + rng.UniformFloat(-1e-6f, 1e-6f);
+    }
+  }
+  ArchiveOptions options;
+  options.solver = ArchiveSolver::kMst;
+  options.enable_similarity_pairing = false;
+  const std::vector<SnapshotSpec> specs = {{"s0", &s0}, {"s1", &s1}};
+  auto graph = BuildMatrixStorageGraph(specs, {{0, 1}}, options);
+  ASSERT_TRUE(graph.ok()) << graph.status().ToString();
+  auto plan = SolveMst(*graph);
+  ASSERT_TRUE(plan.ok());
+  ASSERT_EQ(plan->Parent(2), 0);  // s1 materialized ...
+  ASSERT_EQ(plan->Parent(1), 2);  // ... and s0 stored against it.
+
+  MemEnv env;
+  ArchiveBuilder builder(&env, "pas");
+  ASSERT_TRUE(builder.AddSnapshot("s0", s0).ok());
+  ASSERT_TRUE(builder.AddSnapshot("s1", s1).ok());
+  ASSERT_TRUE(builder.AddDeltaCandidate("s0", "s1").ok());
+  auto report = builder.Build(options);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  // Only s1's materialization trial reached the pipeline.
+  EXPECT_EQ(report->pipeline.planes_from_trial +
+                report->pipeline.planes_null_framed,
+            static_cast<uint64_t>(kNumPlanes));
+  auto delta = ComputeDelta(s0[0].value, s1[0].value, DeltaKind::kAdaptiveSub);
+  ASSERT_TRUE(delta.ok());
+  const auto planes = SegmentFloats(*delta);
+  auto store = ChunkStoreReader::Open(&env, "pas/chunks-1.bin");
+  ASSERT_TRUE(store.ok());
+  int shrunk = 0;
+  for (int p = 0; p < kNumPlanes; ++p) {
+    SCOPED_TRACE("plane " + std::to_string(p));
+    std::string want;
+    auto codec = EncodeChunk(Slice(planes[p]), options.codec, &want);
+    ASSERT_TRUE(codec.ok());
+    shrunk += *codec != CodecType::kNull ? 1 : 0;
+    const uint32_t id = static_cast<uint32_t>(p);  // s0 is job 0.
+    EXPECT_EQ(store->ref(id).codec, *codec);
+    auto stored = store->GetCompressed(id);
+    ASSERT_TRUE(stored.ok());
+    EXPECT_TRUE(*stored == want);
+  }
+  EXPECT_EQ(shrunk, kNumPlanes);
+}
+
+/// A MemEnv whose ListDir fails while `fail_list_dir` is set, as a
+/// directory listing does when the process is out of file descriptors.
+class FailingListDirEnv : public MemEnv {
+ public:
+  bool fail_list_dir = false;
+
+  Result<std::vector<std::string>> ListDir(const std::string& path) override {
+    if (fail_list_dir) {
+      return Status::IOError("injected listing failure: " + path);
+    }
+    return MemEnv::ListDir(path);
+  }
+};
+
+TEST(ArchiveBuilderTest, RebuildFailsWhenTheDirectoryCannotBeListed) {
+  // Build numbers the new generation from the files it lists. A failed
+  // listing must fail the build: assuming generation 1 would replace a
+  // live chunks-1.bin in place and leave the manifest naming it twice.
+  FailingListDirEnv env;
+  const auto corpus = PinnedCorpus(3);
+  auto add_corpus = [&](ArchiveBuilder* builder) {
+    for (size_t s = 0; s < corpus.size(); ++s) {
+      ASSERT_TRUE(builder->AddSnapshot(corpus[s].first, corpus[s].second).ok());
+    }
+  };
+  {
+    ArchiveBuilder first(&env, "pas");
+    add_corpus(&first);
+    ASSERT_TRUE(first.Build(ArchiveOptions()).ok());
+  }
+  // Second generation: every snapshot re-archived from the first's files
+  // would need dedup to reference chunks-1.bin.
+  auto before = env.ListDir("pas");
+  ASSERT_TRUE(before.ok());
+  std::map<std::string, std::string> files;
+  for (const std::string& name : *before) {
+    auto data = env.ReadFile(JoinPath("pas", name));
+    ASSERT_TRUE(data.ok());
+    files[name] = *data;
+  }
+  env.fail_list_dir = true;
+  ArchiveBuilder second(&env, "pas");
+  add_corpus(&second);
+  ArchiveOptions options;
+  options.solver = ArchiveSolver::kSpt;  // A different plan than the first.
+  const auto report = second.Build(options);
+  EXPECT_TRUE(report.status().IsIOError()) << report.status().ToString();
+  env.fail_list_dir = false;
+
+  auto after = env.ListDir("pas");
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(*after, *before);
+  for (const auto& [name, data] : files) {
+    auto now = env.ReadFile(JoinPath("pas", name));
+    ASSERT_TRUE(now.ok()) << name;
+    EXPECT_TRUE(*now == data) << name << " changed";
+  }
+  auto reader = ArchiveReader::Open(&env, "pas");
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  auto s0 = reader->RetrieveSnapshot(corpus[0].first);
+  ASSERT_TRUE(s0.ok()) << s0.status().ToString();
+  ASSERT_EQ(s0->size(), corpus[0].second.size());
+  for (size_t p = 0; p < s0->size(); ++p) {
+    SCOPED_TRACE((*s0)[p].name);
+    EXPECT_TRUE((*s0)[p].value.BitEquals(corpus[0].second[p].value));
   }
 }
 

@@ -564,7 +564,10 @@ TEST(ParallelArchiverProperty, RetrievalAgreesAcrossSchemesAndBounds) {
 
 TEST(ParallelArchiverProperty, PipelinePrimitiveMatchesSerialStore) {
   // ParallelArchiver::Run against a direct ChunkStoreWriter::Put loop:
-  // the stored files must be identical, chunk ids in job order.
+  // the stored files must be identical, chunk ids in job order. A random
+  // subset of jobs carries a trial of its payload, as the cost model
+  // hands one over: the codec EncodeChunk chose per plane, and the
+  // encoded bytes of a random subset of those planes.
   for (int iter = 0; iter < 6; ++iter) {
     const uint64_t seed = BaseSeed() + 2000 + static_cast<uint64_t>(iter);
     SCOPED_TRACE("seed=" + std::to_string(seed));
@@ -583,14 +586,30 @@ TEST(ParallelArchiverProperty, PipelinePrimitiveMatchesSerialStore) {
         rng.Bernoulli(0.5) ? CodecType::kDeflateLite : CodecType::kHuffman;
 
     ChunkStoreWriter serial(&env, "serial.bin");
+    std::vector<PlaneCodecs> trial_codecs(static_cast<size_t>(num_jobs));
+    std::vector<PlaneBytes> trial_planes(static_cast<size_t>(num_jobs));
+    std::vector<bool> has_trial(static_cast<size_t>(num_jobs));
+    uint64_t want_from_trial = 0;
+    uint64_t want_null_framed = 0;
     for (int j = 0; j < num_jobs; ++j) {
-      auto delta = ComputeDelta(targets[static_cast<size_t>(j)],
-                                bases[static_cast<size_t>(j)],
-                                DeltaKind::kXor);
+      const size_t jj = static_cast<size_t>(j);
+      auto delta = ComputeDelta(targets[jj], bases[jj], DeltaKind::kXor);
       ASSERT_TRUE(delta.ok());
       const auto planes = SegmentFloats(*delta);
+      has_trial[jj] = rng.Bernoulli(0.5);
       for (int p = 0; p < kNumPlanes; ++p) {
         ASSERT_TRUE(serial.Put(Slice(planes[p]), codec).ok());
+        if (!has_trial[jj]) continue;
+        std::string encoded;
+        auto stored = EncodeChunk(Slice(planes[p]), codec, &encoded);
+        ASSERT_TRUE(stored.ok());
+        trial_codecs[jj][p] = *stored;
+        if (rng.Bernoulli(0.5)) {
+          trial_planes[jj][p] = std::move(encoded);
+          ++want_from_trial;
+        } else if (*stored == CodecType::kNull) {
+          ++want_null_framed;
+        }
       }
     }
     ASSERT_TRUE(serial.Finish().ok());
@@ -602,9 +621,12 @@ TEST(ParallelArchiverProperty, PipelinePrimitiveMatchesSerialStore) {
       std::vector<ParallelArchiver::Job> jobs(
           static_cast<size_t>(num_jobs));
       for (int j = 0; j < num_jobs; ++j) {
-        jobs[static_cast<size_t>(j)] = {&targets[static_cast<size_t>(j)],
-                                        &bases[static_cast<size_t>(j)],
-                                        DeltaKind::kXor, &parallel};
+        const size_t jj = static_cast<size_t>(j);
+        jobs[jj] = {&targets[jj], &bases[jj], DeltaKind::kXor, &parallel};
+        if (has_trial[jj]) {
+          jobs[jj].trial_codecs = &trial_codecs[jj];
+          jobs[jj].trial_planes = &trial_planes[jj];
+        }
       }
       ArchivePipelineStats stats;
       auto placements = ParallelArchiver::Run(jobs, codec, threads, &stats);
@@ -620,6 +642,8 @@ TEST(ParallelArchiverProperty, PipelinePrimitiveMatchesSerialStore) {
       ASSERT_TRUE(parallel.Finish().ok());
       EXPECT_EQ(stats.jobs, num_jobs);
       EXPECT_GT(stats.raw_bytes, 0u);
+      EXPECT_EQ(stats.planes_from_trial, want_from_trial);
+      EXPECT_EQ(stats.planes_null_framed, want_null_framed);
       auto serial_bytes = env.ReadFile("serial.bin");
       auto parallel_bytes = env.ReadFile(path);
       ASSERT_TRUE(serial_bytes.ok());
@@ -634,7 +658,8 @@ TEST(ParallelArchiverProperty, TileBoundariesAreByteInvariant) {
   // tile shape: one-row tiles (maximal boundary count), odd sizes that
   // straddle rows unevenly, and whole-matrix tiles (the pre-tiling
   // shape), across serial and parallel pools. Retrieval bounds from the
-  // identical bytes must agree too.
+  // identical bytes must agree too. Build hands the pipeline the cost
+  // model's trials, so trial-carrying jobs see every tile shape.
   const uint64_t seed = BaseSeed() + 3000;
   SCOPED_TRACE("seed=" + std::to_string(seed));
   Rng rng(seed);
@@ -656,6 +681,11 @@ TEST(ParallelArchiverProperty, TileBoundariesAreByteInvariant) {
       auto report = BuildCorpusArchive(&env, dir, corpus, options);
       ASSERT_TRUE(report.ok()) << report.status().ToString();
       EXPECT_GE(report->pipeline.tiles, report->pipeline.jobs);
+      // Every plane of a materialized job comes from its trial: held
+      // bytes where the codec shrank it, else the null frame.
+      EXPECT_GE(report->pipeline.planes_from_trial +
+                    report->pipeline.planes_null_framed,
+                static_cast<uint64_t>(kNumPlanes));
       const auto contents = DirContents(&env, dir);
       ASSERT_FALSE(contents.empty());
 

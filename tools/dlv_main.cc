@@ -384,7 +384,9 @@ int CmdArchive(Env* env, const std::string& root, const std::string& solver,
       "archived %d matrices with %s: storage %.0f bytes "
       "(MST %.0f, materialized %.0f), budgets %s\n"
       "  write pipeline: %d threads, %llu raw bytes -> %llu stored, "
-      "encode %.2f ms, commit %.2f ms, wall %.2f ms\n",
+      "encode %.2f ms, commit %.2f ms, wall %.2f ms\n"
+      "  planes from cost-model trials: %llu taken as encoded, "
+      "%llu null-framed without a codec attempt\n",
       report->num_vertices, solver.c_str(), report->storage_cost,
       report->mst_storage_cost, report->spt_storage_cost,
       report->budgets_satisfied ? "satisfied" : "violated",
@@ -392,7 +394,9 @@ int CmdArchive(Env* env, const std::string& root, const std::string& solver,
       static_cast<unsigned long long>(report->pipeline.raw_bytes),
       static_cast<unsigned long long>(report->pipeline.compressed_bytes),
       report->pipeline.encode_ms_total, report->pipeline.commit_ms,
-      report->pipeline.wall_ms);
+      report->pipeline.wall_ms,
+      static_cast<unsigned long long>(report->pipeline.planes_from_trial),
+      static_cast<unsigned long long>(report->pipeline.planes_null_framed));
   return 0;
 }
 
